@@ -121,7 +121,6 @@ func run() error {
 		shards  = flag.Int("shards", 1, "keyspace shards (independent enclave instances)")
 		svcName = flag.String("service", "kvs", "hosted functionality: kvs | bank")
 		sync    = flag.Bool("sync", false, "fsync every state write (crash tolerance, Fig. 6 mode)")
-		group   = flag.Bool("groupcommit", true, "coalesce concurrent batches' delta appends under one fsync")
 		snap    = flag.Bool("snapshotreads", false, "serve classified read-only ops from a concurrent snapshot read pool (clients use DoRead)")
 		scale   = flag.Float64("scale", 1.0, "latency model scale (0 disables injected latencies)")
 
@@ -190,7 +189,6 @@ func run() error {
 		Store:          store,
 		Shards:         *shards,
 		BatchSize:      *batch,
-		GroupCommit:    *group,
 		SnapshotReads:  *snap,
 		Replicas:       *replicas,
 		Quorum:         *quorum,
@@ -244,8 +242,8 @@ func run() error {
 	defer listener.Close()
 
 	fmt.Printf("lcm-server listening on %s\n", listener.Addr())
-	fmt.Printf("  service:   %s (LCM-protected, shards=%d, batch=%d, sync=%v, groupcommit=%v)\n",
-		*svcName, server.Shards(), *batch, *sync, *group)
+	fmt.Printf("  service:   %s (LCM-protected, shards=%d, batch=%d, sync=%v)\n",
+		*svcName, server.Shards(), *batch, *sync)
 	if *replicas > 0 {
 		fmt.Printf("  replication: %d peer replicas per shard, quorum %d (0 = majority); rollback heals instead of halting\n",
 			*replicas, *quorum)

@@ -182,6 +182,8 @@ func startWorker(o *options, self, addr, keyHex, sealPub string, index int, logW
 		return nil, err
 	}
 	w := &workerProc{index: index, cmd: cmd, statCh: make(chan *benchrun.WorkerStats, 1), waitCh: make(chan error, 1)}
+	// Wait only after stdout hit EOF: Wait closes the pipe, and calling it
+	// earlier can drop the stats line or deliver the exit before it.
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
@@ -196,8 +198,8 @@ func startWorker(o *options, self, addr, keyHex, sealPub string, index int, logW
 			}
 			fmt.Fprintf(logW, "[worker %d] %s\n", index, line)
 		}
+		w.waitCh <- cmd.Wait()
 	}()
-	go func() { w.waitCh <- cmd.Wait() }()
 	return w, nil
 }
 

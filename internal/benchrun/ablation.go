@@ -60,17 +60,18 @@ func measureLCMWithBatch(cfg RunConfig, batch int) (AblationPoint, error) {
 }
 
 // RunSyncWritesAblation sweeps the client count in the synchronous-write
-// regime of Fig. 6 and compares three LCM durability designs at batch
-// size 1 — so any fsync amortization comes from concurrency, not from
-// request batching:
+// regime of Fig. 6 and compares three LCM durability settings of the one
+// persistence path at batch size 1 — so any fsync amortization comes
+// from concurrency, not from request batching:
 //
-//   - full:        per-batch full-state seal, per-batch fsync (the paper's
-//     original persistence under SyncWrites);
-//   - delta-fsync: sealed delta records, one fsync per batch (PR 1's
-//     pipeline) — O(batch) sealed bytes, but still one drive round trip
-//     per batch, so throughput stays flat as clients are added;
-//   - delta-group: sealed delta records handed to the host's group
-//     committer, where concurrent batches share one fsync (the Redis AOF
+//   - full:        a full-state snapshot every batch (CompactEvery 1) with
+//     one fsync per batch (the paper's original persistence under
+//     SyncWrites);
+//   - delta-fsync: sealed delta records, commit-group cap 1 — O(batch)
+//     sealed bytes, but still one drive round trip per batch, so
+//     throughput stays flat as clients are added;
+//   - delta-group: sealed delta records with the adaptive commit-group
+//     cap, where concurrent batches share one fsync (the Redis AOF
 //     pattern) — the durable configuration finally scales with the client
 //     count.
 func RunSyncWritesAblation(cfg RunConfig, clients []int) ([]AblationPoint, error) {
@@ -83,9 +84,9 @@ func RunSyncWritesAblation(cfg RunConfig, clients []int) ([]AblationPoint, error
 		name string
 		tune func(*Options)
 	}{
-		{"lcm-sync-full", func(o *Options) { o.FullSeal = true }},
-		{"lcm-sync-delta-fsync", nil},
-		{"lcm-sync-delta-group", func(o *Options) { o.GroupCommit = true }},
+		{"lcm-sync-full", func(o *Options) { o.CompactEvery, o.CommitLatencyTarget = SealEveryBatch, PerBatchFsync }},
+		{"lcm-sync-delta-fsync", func(o *Options) { o.CommitLatencyTarget = PerBatchFsync }},
+		{"lcm-sync-delta-group", nil},
 	}
 	var points []AblationPoint
 	byClients := map[int]map[string]float64{}
@@ -222,7 +223,9 @@ func RunBatchGroupSweep(cfg RunConfig, batches []int) ([]AblationPoint, error) {
 			name := fmt.Sprintf("lcm-batch%d-%s", b, arm)
 			var groups, records, maxGroup int
 			p, err := measureOptions(SysLCM, clients, 100, true, b, cfg, func(o *Options) {
-				o.GroupCommit = group
+				if !group {
+					o.CommitLatencyTarget = PerBatchFsync
+				}
 			}, func(dep *Deployment) {
 				groups, records, maxGroup = dep.GroupCommitStats()
 			})
@@ -255,11 +258,11 @@ func RunBatchGroupSweep(cfg RunConfig, batches []int) ([]AblationPoint, error) {
 	return points, nil
 }
 
-// RunSealAblation sweeps the store size and compares LCM's two
-// persistence modes: per-batch full-state sealing (the paper's Sec. 5.2
-// prototype, O(state) sealed bytes per batch) against the incremental
-// sealed delta log (O(batch)). The gap widens with the record count —
-// exactly the scaling argument for the delta log.
+// RunSealAblation sweeps the store size and compares two compaction
+// settings: a full-state snapshot every batch (CompactEvery 1, the
+// paper's Sec. 5.2 prototype, O(state) sealed bytes per batch) against
+// the adaptive sealed delta log (O(batch)). The gap widens with the
+// record count — exactly the scaling argument for the delta log.
 func RunSealAblation(cfg RunConfig, records []int) ([]AblationPoint, error) {
 	cfg = cfg.fill()
 	if len(records) == 0 {
@@ -270,20 +273,19 @@ func RunSealAblation(cfg RunConfig, records []int) ([]AblationPoint, error) {
 	for _, n := range records {
 		c := cfg
 		c.Records = n
-		for _, fullSeal := range []bool{true, false} {
-			name := "lcm-seal-delta"
-			if fullSeal {
-				name = "lcm-seal-full"
-			}
+		for _, arm := range []struct {
+			name         string
+			compactEvery int
+		}{{"lcm-seal-full", SealEveryBatch}, {"lcm-seal-delta", 0}} {
 			p, err := measureOptions(SysLCMBatch, 8, 100, false, 0, c, func(o *Options) {
-				o.FullSeal = fullSeal
+				o.CompactEvery = arm.compactEvery
 			}, nil)
 			if err != nil {
 				return nil, err
 			}
-			points = append(points, AblationPoint{Name: name, X: n, Throughput: p.Throughput, MeanLat: p.MeanLat, P50Lat: p.P50Lat, P99Lat: p.P99Lat})
+			points = append(points, AblationPoint{Name: arm.name, X: n, Throughput: p.Throughput, MeanLat: p.MeanLat, P50Lat: p.P50Lat, P99Lat: p.P99Lat})
 			fmt.Fprintf(cfg.Out, "%-15s records=%-6d thr=%9.1f ops/s mean=%v\n",
-				name, n, p.Throughput, p.MeanLat.Round(time.Microsecond))
+				arm.name, n, p.Throughput, p.MeanLat.Round(time.Microsecond))
 		}
 	}
 	return points, nil

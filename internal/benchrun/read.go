@@ -37,7 +37,6 @@ func RunReadAblation(cfg RunConfig, clients []int) ([]AblationPoint, error) {
 				name = "lcm-read-snapshot"
 			}
 			p, err := measureOptions(SysLCM, n, 100, true, 1, cfg, func(o *Options) {
-				o.GroupCommit = true
 				o.SnapshotReads = snap
 				o.Workload = ycsb.WorkloadB
 			}, nil)

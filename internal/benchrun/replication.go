@@ -65,9 +65,7 @@ func replicationGrid(cfg RunConfig, quorums, batches []int, suffix string) ([]Ab
 	const peerReplicas = 2
 	var points []AblationPoint
 	for _, b := range batches {
-		off, err := measureOptions(SysLCM, clients, 100, true, b, cfg, func(o *Options) {
-			o.GroupCommit = true
-		}, nil)
+		off, err := measureOptions(SysLCM, clients, 100, true, b, cfg, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("lcm-repl-off%s batch=%d: %w", suffix, b, err)
 		}
@@ -78,7 +76,6 @@ func replicationGrid(cfg RunConfig, quorums, batches []int, suffix string) ([]Ab
 		for _, q := range quorums {
 			quorum := q
 			p, err := measureOptions(SysLCM, clients, 100, true, b, cfg, func(o *Options) {
-				o.GroupCommit = true
 				o.Replicas = peerReplicas
 				o.Quorum = quorum
 			}, nil)

@@ -45,6 +45,16 @@ func AllSystems() []System {
 	return []System{SysSGX, SysSGXBatch, SysNative, SysLCM, SysLCMBatch, SysRedis, SysSGXTMC}
 }
 
+// Persistence parameter values for the paper's configurations and the
+// ablation arms: one persistence path, different settings.
+const (
+	// SealEveryBatch makes every persistence event a full snapshot.
+	SealEveryBatch = 1
+	// PerBatchFsync is a commit-latency target below any fsync, which
+	// drives the adaptive commit-group cap to its floor of one record.
+	PerBatchFsync = time.Nanosecond
+)
+
 // DefaultBatch is the batching depth of the paper's prototype (Sec. 6.4:
 // "batching of up to 16 operations").
 const DefaultBatch = 16
@@ -64,18 +74,17 @@ type Options struct {
 	// Batch overrides the system's default batching depth when > 0
 	// (used by the batching ablation).
 	Batch int
-	// FullSeal makes LCM re-seal the full state every batch instead of
-	// appending sealed delta records — the paper's original persistence,
-	// kept as the comparison arm of the sealing ablation.
-	FullSeal bool
-	// CompactEvery overrides the delta log's compaction threshold when
-	// > 0 (records between full re-seals; 0 keeps the adaptive
-	// snapshot/delta-ratio policy).
+	// CompactEvery overrides the compaction policy when > 0: every
+	// CompactEvery-th persistence event is a full snapshot
+	// (core.TrustedConfig.CompactEvery). SealEveryBatch (1) is the paper's
+	// original per-batch full seal, the comparison arm of the sealing
+	// ablation; 0 keeps the adaptive snapshot/delta-ratio policy.
 	CompactEvery int
-	// GroupCommit enables the host's pipelined group-commit committer for
-	// LCM deployments: concurrent batches' delta records share one fsync.
-	// The sync-writes ablation compares this against per-batch fsync.
-	GroupCommit bool
+	// CommitLatencyTarget overrides the host's commit-group latency
+	// target (host.Config.CommitLatencyTarget); PerBatchFsync pins the
+	// group cap to 1, the per-batch-fsync arm the sync-writes ablation
+	// compares group commit against. 0 keeps the host default.
+	CommitLatencyTarget time.Duration
 	// Shards partitions an LCM deployment into this many independent
 	// enclave instances (keyspace-sharded; see internal/host). 0 or 1
 	// deploys the classic single enclave. Sessions become sharded
@@ -154,7 +163,7 @@ func (d *Deployment) Close() {
 func (d *Deployment) System() System { return d.system }
 
 // GroupCommitStats reports the host's group-commit activity (zeros for
-// non-LCM deployments or when group commit is disabled).
+// non-LCM deployments).
 func (d *Deployment) GroupCommitStats() (groups, records, maxGroup int) {
 	if d.host == nil {
 		return 0, 0, 0
@@ -440,18 +449,17 @@ func Deploy(sys System, opt Options) (*Deployment, error) {
 				ServiceName:   "kvs",
 				NewService:    kvs.Factory(),
 				Attestation:   attestation,
-				FullSeal:      opt.FullSeal,
 				CompactEvery:  opt.CompactEvery,
 				CommitteeSize: opt.CommitteeSize,
 			}),
-			Store:          store,
-			Shards:         shards,
-			BatchSize:      batch,
-			GroupCommit:    opt.GroupCommit,
-			Replicas:       opt.Replicas,
-			Quorum:         opt.Quorum,
-			SnapshotReads:  opt.SnapshotReads,
-			BeaconInterval: opt.BeaconInterval,
+			Store:               store,
+			Shards:              shards,
+			BatchSize:           batch,
+			CommitLatencyTarget: opt.CommitLatencyTarget,
+			Replicas:            opt.Replicas,
+			Quorum:              opt.Quorum,
+			SnapshotReads:       opt.SnapshotReads,
+			BeaconInterval:      opt.BeaconInterval,
 		})
 		if err != nil {
 			return nil, err

@@ -94,9 +94,9 @@ func EncodeBatchCall(invokes [][]byte) []byte {
 }
 
 func decodeBatchCall(r *wire.Reader) ([][]byte, error) {
-	n := r.U32()
+	n := r.Count(4)
 	invokes := make([][]byte, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		invokes = append(invokes, r.Var())
 	}
 	if err := r.Done(); err != nil {
@@ -120,17 +120,18 @@ func IsBatchCall(payload []byte) bool {
 	return len(payload) > 0 && payload[0] == callBatch
 }
 
-// BatchResult is the enclave's response to a batch call: one encrypted
-// REPLY per invoke, in order, plus the persistence work the host must
-// perform before releasing the replies (piggybacked on the response
-// instead of an ocall, Sec. 5.2). Exactly one of StateBlob / DeltaRecord
-// is set:
+// BatchResult is the enclave's response to a batch call (and to the
+// beacon, epoch-seal and churn calls): one encrypted REPLY per invoke, in
+// order, plus the persistence work the host must perform before releasing
+// the replies (piggybacked on the response instead of an ocall,
+// Sec. 5.2). At most one of StateBlob / DeltaRecord is set:
 //
-//   - StateBlob — a full sealed snapshot; the host stores it under the
-//     state slot, and additionally truncates the delta log when Compact is
-//     set (the record-count/bytes threshold fired).
 //   - DeltaRecord — one sealed delta-log record; the host appends it to
 //     the delta-log slot.
+//   - StateBlob — a sealed snapshot; the host stores it under the state
+//     slot, and truncates the delta log it subsumes when Compact is set
+//     (every LCM snapshot result; baseline programs that share the host
+//     leave it clear).
 type BatchResult struct {
 	Replies     [][]byte
 	StateBlob   []byte
@@ -171,9 +172,9 @@ func encodeBatchResult(res *BatchResult) []byte {
 // DecodeBatchResult parses the enclave's batch response (host side).
 func DecodeBatchResult(b []byte) (*BatchResult, error) {
 	r := wire.NewReader(b)
-	n := r.U32()
+	n := r.Count(4)
 	res := &BatchResult{Replies: make([][]byte, 0, n)}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		res.Replies = append(res.Replies, r.Var())
 	}
 	res.Compact = r.Bool()
@@ -269,27 +270,24 @@ func decodeProvisionPayload(b []byte) (*provisionPayload, error) {
 // partition).
 const (
 	adminAddClient byte = iota + 1
-	adminRemoveClient
+	_                   // retired: synchronous remove-with-rotation (Evict + epoch seal replace it)
 	adminLeaveClient
 	adminEvictClient
 	adminSetCommitteeSize // committee size k rides in ClientID
 )
 
-// AdminOp is a group-membership change. Remove carries the fresh
-// communication key k'C that replaces kC for the remaining clients.
+// AdminOp is a group-membership change.
 type AdminOp struct {
 	Seq      uint64 // strictly increasing; replay protection
 	Kind     byte
 	ClientID uint32
-	NewKC    []byte // remove only
 }
 
 func (op *AdminOp) encode() []byte {
-	w := wire.NewWriter(32 + len(op.NewKC))
+	w := wire.NewWriter(13)
 	w.U64(op.Seq)
 	w.U8(op.Kind)
 	w.U32(op.ClientID)
-	w.Var(op.NewKC)
 	return w.Bytes()
 }
 
@@ -300,7 +298,6 @@ func decodeAdminOp(b []byte) (*AdminOp, error) {
 		Kind:     r.U8(),
 		ClientID: r.U32(),
 	}
-	op.NewKC = r.Var()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("lcm: decode admin op: %w", err)
 	}
@@ -421,7 +418,6 @@ type Status struct {
 	// Persistence observability: the delta chain the host currently holds
 	// and the enclave's compaction history (operators size storage and
 	// recovery time from these; see state.go).
-	DeltaActive    bool   // batches persist as delta records, not full seals
 	ChainLen       int    // records in the live delta chain
 	ChainBytes     int    // sealed bytes in the live delta chain
 	SnapshotBytes  int    // size of the last sealed full snapshot
@@ -453,7 +449,6 @@ func encodeStatus(s *Status) []byte {
 	w.U32(uint32(s.NumClients))
 	w.U64(s.Gen)
 	w.Bool(s.Resharding)
-	w.Bool(s.DeltaActive)
 	w.U32(uint32(s.ChainLen))
 	w.U64(uint64(s.ChainBytes))
 	w.U64(uint64(s.SnapshotBytes))
@@ -596,7 +591,6 @@ func DecodeStatus(b []byte) (*Status, error) {
 	s.NumClients = int(r.U32())
 	s.Gen = r.U64()
 	s.Resharding = r.Bool()
-	s.DeltaActive = r.Bool()
 	s.ChainLen = int(r.U32())
 	s.ChainBytes = int(r.U64())
 	s.SnapshotBytes = int(r.U64())

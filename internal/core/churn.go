@@ -247,8 +247,8 @@ func (p *Trusted) epochCounterID() string {
 // the staged and heartbeat-expired evictions as one batch, rotates kC
 // when anything was evicted (minted in-enclave; the admin learns it via
 // callGroupInfo), runs the service's epoch hook, and reseals the
-// committee digests. The result persists like a batch: a delta record in
-// the common case, a full seal when a rotation changed kC.
+// committee digests. The result persists like a batch (sealResult): a
+// delta record in the common case, a snapshot when a rotation changed kC.
 func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
@@ -291,36 +291,18 @@ func (p *Trusted) handleEpochSeal(env tee.Env) ([]byte, error) {
 	if p.readsArmed && p.snapReader != nil {
 		p.snapReader.EndBatch(p.t)
 	}
+	// A rotation changes kC, which lives in the state blob: snapshot.
 	res := BatchResult{Seq: p.t}
-	switch {
-	case !p.deltaActive():
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-	case len(removed) > 0 || p.shouldCompact():
-		// A rotation changes kC, which lives in the state blob: full seal.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-		res.Compact = true
-	default:
-		rec, err := p.sealDeltaRecord(p.t, vmap{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.DeltaRecord = rec
+	if err := p.sealResult(&res, deltaRecord{FromT: p.t}, len(removed) > 0); err != nil {
+		return nil, err
 	}
 	return encodeBatchResult(&res), nil
 }
 
 // handleChurn processes a batch of sealed churn messages. Joins and
 // leaves are acknowledged (sealed under kC); heartbeats produce no
-// response at all. Membership changes persist through an ordinary delta
-// record — O(change) — or a full seal outside delta mode.
+// response at all. Membership changes persist like a batch (sealResult):
+// an ordinary delta record — O(change) — or a snapshot at compaction.
 func (p *Trusted) handleChurn(env tee.Env, msgs [][]byte) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
@@ -388,26 +370,9 @@ func (p *Trusted) handleChurn(env tee.Env, msgs [][]byte) ([]byte, error) {
 			removed = append(removed, id)
 		}
 		sortU32(removed)
-		switch {
-		case !p.deltaActive():
-			blob, err := p.sealState()
-			if err != nil {
-				return nil, err
-			}
-			res.StateBlob = blob
-		case p.shouldCompact():
-			blob, err := p.sealState()
-			if err != nil {
-				return nil, err
-			}
-			res.StateBlob = blob
-			res.Compact = true
-		default:
-			rec, err := p.sealDeltaRecord(p.t, touched, removed)
-			if err != nil {
-				return nil, err
-			}
-			res.DeltaRecord = rec
+		rec := deltaRecord{FromT: p.t, Entries: touched, Removed: removed}
+		if err := p.sealResult(&res, rec, false); err != nil {
+			return nil, err
 		}
 	}
 	return encodeBatchResult(&res), nil

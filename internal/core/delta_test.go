@@ -124,7 +124,7 @@ func TestDeltaBatchesAppendAndRecover(t *testing.T) {
 // Crossing the CompactEvery threshold re-seals a full blob and truncates
 // the log; the chain restarts there and recovery keeps working.
 func TestDeltaCompactionTruncatesAndRechains(t *testing.T) {
-	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 3 })
+	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 4 })
 	for i := 1; i <= 8; i++ {
 		r.mustPut(1, "k", fmt.Sprintf("v%d", i))
 	}
@@ -225,12 +225,12 @@ func TestAdaptiveCompactionTracksSnapshotRatio(t *testing.T) {
 // bytes track appended records and reset at compaction, and the snapshot
 // size and compaction history are reported.
 func TestStatusReportsChainAndCompaction(t *testing.T) {
-	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 4 })
+	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 5 })
 	status, err := QueryStatus(r.enclave.Call)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !status.DeltaActive || status.ChainLen != 0 || status.ChainBytes != 0 || status.SnapshotBytes == 0 {
+	if status.ChainLen != 0 || status.ChainBytes != 0 || status.SnapshotBytes == 0 {
 		t.Fatalf("bootstrap status = %+v", status)
 	}
 	for i := 1; i <= 3; i++ {
@@ -258,7 +258,7 @@ func TestStatusReportsChainAndCompaction(t *testing.T) {
 // ships the sealed blob + log, and the target folds them, continues the
 // chain, and resumes compaction bookkeeping where the origin left off.
 func TestMigrationCarriesDeltaChainAndResumesCompaction(t *testing.T) {
-	tune := func(cfg *TrustedConfig) { cfg.CompactEvery = 4 }
+	tune := func(cfg *TrustedConfig) { cfg.CompactEvery = 5 }
 	r := newRigWith(t, []uint32{1}, tune)
 	r.mustPut(1, "k", "v1")
 	r.mustPut(1, "k", "v2")
@@ -412,7 +412,7 @@ func TestDeltaLogTamperHaltsRecovery(t *testing.T) {
 // already contains everything) and resume seamlessly — a benign crash
 // must never halt the enclave.
 func TestDeltaStaleLogAfterCompactionCrashDiscarded(t *testing.T) {
-	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 2 })
+	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 3 })
 	c := r.clients[1]
 	r.mustPut(1, "k", "v1") // record 1
 	r.mustPut(1, "k", "v2") // record 2
@@ -473,8 +473,9 @@ func TestDeltaStaleLogAfterCompactionCrashDiscarded(t *testing.T) {
 }
 
 // Property: a delta-persisted deployment with random restarts at batch
-// boundaries stays state-identical to a full-seal deployment driven by
-// the same schedule — sequence numbers, stability, and every key.
+// boundaries stays state-identical to a full-seal deployment (a snapshot
+// every batch, CompactEvery 1) driven by the same schedule — sequence
+// numbers, stability, and every key.
 func TestQuickDeltaMatchesFullSeal(t *testing.T) {
 	check := func(seed int64, schedule []uint8) bool {
 		if len(schedule) == 0 {
@@ -490,9 +491,9 @@ func TestQuickDeltaMatchesFullSeal(t *testing.T) {
 			ids[i] = uint32(i + 1)
 		}
 		delta := newRigWith(t, ids, func(cfg *TrustedConfig) {
-			cfg.CompactEvery = 1 + rng.Intn(6)
+			cfg.CompactEvery = 2 + rng.Intn(6)
 		})
-		full := newRigWith(t, ids, func(cfg *TrustedConfig) { cfg.FullSeal = true })
+		full := newRigWith(t, ids, func(cfg *TrustedConfig) { cfg.CompactEvery = 1 })
 
 		keys := []string{"a", "b", "c"}
 		for _, step := range schedule {
@@ -539,5 +540,61 @@ func TestQuickDeltaMatchesFullSeal(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// CompactEvery 1 is the paper's full seal per batch expressed on the one
+// persistence path: every persistence event — batch, beacon, epoch seal,
+// churn — is a compaction snapshot, never a delta record, and the
+// deployment still recovers from it.
+func TestCompactEveryOneSnapshotsEveryEvent(t *testing.T) {
+	r := newRigWith(t, []uint32{1}, func(cfg *TrustedConfig) { cfg.CompactEvery = 1 })
+	mustSnapshot := func(what string, payload []byte) *BatchResult {
+		t.Helper()
+		resp, err := r.enclave.Call(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		res, err := DecodeBatchResult(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Compact || len(res.StateBlob) == 0 || len(res.DeltaRecord) != 0 {
+			t.Fatalf("%s result is not a compaction snapshot: compact=%v blob=%dB record=%dB",
+				what, res.Compact, len(res.StateBlob), len(res.DeltaRecord))
+		}
+		if err := r.persistBatch(res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for i := 0; i < 3; i++ {
+		inv, err := r.clients[1].Invoke(kvs.Put("k", fmt.Sprintf("v%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := mustSnapshot("batch", EncodeBatchCall([][]byte{inv}))
+		if _, err := r.clients[1].ProcessReply(res.Replies[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSnapshot("beacon", EncodeBeaconCall())
+	if _, err := r.enclave.Call(EncodeBeaconConfirmCall()); err != nil {
+		t.Fatal(err)
+	}
+	mustSnapshot("epoch seal", EncodeEpochSealCall())
+	join, err := SealChurnMsg(r.admin.CommunicationKey(), ChurnJoin, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSnapshot("churn", EncodeChurnCall([][]byte{join}))
+	if got := r.storage.LogLen(SlotDeltaLog); got != 0 {
+		t.Fatalf("delta log holds %d records under CompactEvery 1", got)
+	}
+	if err := r.enclave.Restart(); err != nil {
+		t.Fatalf("restart from the last snapshot: %v", err)
+	}
+	if status, _ := QueryStatus(r.enclave.Call); status.Seq != 3 || status.NumClients != 2 {
+		t.Fatalf("recovered status = %+v, want seq 3 with 2 members", status)
 	}
 }

@@ -523,15 +523,6 @@ func (g *Group) takeEvictions(epoch uint64) []uint32 {
 	return removed
 }
 
-// remove deletes a member through the legacy admin path (no tombstone:
-// the id may be re-added by a later AddClient, as the original API
-// allowed).
-func (g *Group) remove(id uint32) {
-	delete(g.v, id)
-	delete(g.lastActive, id)
-	delete(g.lastSeen, id)
-}
-
 // applyTombstones folds delta-record removals (leaves/evictions) during
 // recovery, resharding and chain sync.
 func (g *Group) applyTombstones(removed []uint32) {

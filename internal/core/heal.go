@@ -97,62 +97,26 @@ func (p *Trusted) handleChainSync(env tee.Env, records [][]byte) ([]byte, error)
 		return nil, ErrResharding
 	}
 	res := &ChainSyncResult{}
-	if p.deltaSvc != nil {
-		for _, sealed := range records {
-			plain, err := aead.Open(p.kp, sealed, []byte(adDeltaLog))
-			if err != nil {
-				break // not our history: decline the rest of the offer
-			}
-			rec, err := decodeDeltaRecord(plain)
-			if err != nil {
-				break
-			}
-			if rec.Prev != p.chainPrev {
-				break // does not chain onto our head (stale or replayed)
-			}
-			// From here on the record is our own sealed history; the
-			// strict foldDeltaLog consistency rules apply.
-			if rec.FromT != p.t || rec.ToT < rec.FromT {
-				return nil, tee.Halt("chain sync record sequence discontinuity", nil)
-			}
-			if rec.AdminSeq != p.adminSeq {
-				return nil, tee.Halt("chain sync record admin sequence mismatch", nil)
-			}
-			for id, e := range rec.Entries {
-				p.g.v[id] = e
-			}
-			p.g.applyTombstones(rec.Removed)
-			if rec.GroupEpoch > p.g.epoch {
-				p.g.epoch = rec.GroupEpoch
-				p.g.graceEpoch = rec.GroupEpoch
-			}
-			if rec.QFloor > p.g.qFloor {
-				p.g.qFloor = rec.QFloor
-			}
-			if err := p.deltaSvc.ApplyDelta(rec.Delta); err != nil {
-				return nil, tee.Halt("service delta malformed", err)
-			}
-			p.t, p.h = p.g.v.argmax()
-			if rec.SeqT > p.t {
-				// Removals can delete the V entry holding the head; the
-				// record's authoritative pair restores it (see state.go).
-				p.t, p.h = rec.SeqT, rec.SeqH
-			}
-			if p.t != rec.ToT {
-				return nil, tee.Halt("chain sync record does not reach its declared sequence", nil)
-			}
-			if rec.BeaconSeq > 0 {
-				// Healed beacon record: resume the counter reservation
-				// where the suffix's author left it (see foldDeltaLog).
-				p.beaconSeq, p.beaconTick = rec.BeaconSeq, rec.BeaconTick
-			}
-			p.chainPrev = blobHash(sealed)
-			p.chainLen++
-			p.chainBytes += len(sealed)
-			res.Folded++
+	for _, sealed := range records {
+		plain, err := aead.Open(p.kp, sealed, []byte(adDeltaLog))
+		if err != nil {
+			break // not our history: decline the rest of the offer
 		}
-		p.chargeFootprint(env)
+		rec, err := decodeDeltaRecord(plain)
+		if err != nil {
+			break
+		}
+		if rec.Prev != p.chainPrev {
+			break // does not chain onto our head (stale or replayed)
+		}
+		// From here on the record is our own sealed history; the strict
+		// foldDeltaLog consistency rules apply.
+		if err := p.applyRecord(rec, sealed, "chain sync record"); err != nil {
+			return nil, err
+		}
+		res.Folded++
 	}
+	p.chargeFootprint(env)
 	res.Seq = p.t
 	res.Head = p.chainPrev
 	res.ChainLen = p.chainLen

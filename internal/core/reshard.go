@@ -846,15 +846,11 @@ func (p *Trusted) handleReshardExport(env tee.Env) ([]byte, error) {
 	// Delta() resets the service's change tracking, so if anything below
 	// fails the next persistence event must be a full snapshot — nothing
 	// is lost, the next batch just pays a compaction.
-	var pending []byte
-	if p.deltaActive() {
-		var err error
-		pending, err = p.deltaSvc.Delta()
-		if err != nil {
-			return nil, fmt.Errorf("lcm: pending delta for reshard: %w", err)
-		}
-		p.forceCompact = true
+	pending, err := p.svc.Delta()
+	if err != nil {
+		return nil, fmt.Errorf("lcm: pending delta for reshard: %w", err)
 	}
+	p.forceCompact = true
 
 	res := &ReshardExportResult{}
 	for dst := 0; dst < resh.newShards; dst++ {
@@ -1048,7 +1044,6 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 	if err := svc.Restore(state.Snapshot); err != nil {
 		return nil, fmt.Errorf("source snapshot malformed: %w", err)
 	}
-	deltaSvc, _ := svc.(service.DeltaService)
 	v := state.V
 	t, _ := v.argmax()
 	if state.SeqT > t {
@@ -1079,9 +1074,6 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 			}
 			return nil, errors.New("staged delta log chain broken")
 		}
-		if deltaSvc == nil {
-			return nil, errors.New("staged delta log present but service cannot apply deltas")
-		}
 		if rec.FromT != t || rec.ToT < rec.FromT {
 			return nil, errors.New("staged delta record sequence discontinuity")
 		}
@@ -1094,7 +1086,7 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 		for _, id := range rec.Removed {
 			delete(v, id)
 		}
-		if err := deltaSvc.ApplyDelta(rec.Delta); err != nil {
+		if err := svc.ApplyDelta(rec.Delta); err != nil {
 			return nil, fmt.Errorf("staged delta malformed: %w", err)
 		}
 		t, _ = v.argmax()
@@ -1110,10 +1102,7 @@ func (p *Trusted) reshardSourceFragment(env tee.Env, piece *reshardPiece, newSha
 		return nil, errors.New("staged chain does not reach the source's exported head")
 	}
 	if len(piece.Pending) > 0 {
-		if deltaSvc == nil {
-			return nil, errors.New("pending delta present but service cannot apply deltas")
-		}
-		if err := deltaSvc.ApplyDelta(piece.Pending); err != nil {
+		if err := svc.ApplyDelta(piece.Pending); err != nil {
 			return nil, fmt.Errorf("pending delta malformed: %w", err)
 		}
 	}

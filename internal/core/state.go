@@ -8,13 +8,16 @@ package core
 //	blobkey   (SlotKeyBlob)   — kP sealed under the TEE sealing key kS.
 //	blobstate (SlotStateBlob) — a full snapshot (s, V, kC, adminSeq)
 //	                            sealed under kP. Written at bootstrap, on
-//	                            admin/migration changes, and at every
-//	                            compaction; in full-seal mode also after
-//	                            every batch.
+//	                            admin changes, and at every compaction.
 //	delta log (SlotDeltaLog)  — an append-only sequence of sealed delta
-//	                            records, one per batch, emitted when the
-//	                            service supports service.DeltaService and
-//	                            delta persistence is enabled.
+//	                            records, one per persistence event.
+//
+// Every persistence event — a batch, a heartbeat beacon, a membership
+// epoch seal, a churn call — is exactly one of two things (sealResult in
+// trusted.go): a delta record appended to the log, or a compaction
+// snapshot that replaces the state blob and truncates the log. There is
+// no third format; the paper's per-batch full seal is the compaction
+// policy CompactEvery 1.
 //
 // # Delta record layout
 //
@@ -26,7 +29,7 @@ package core
 //	Bytes32  Prev         SHA-256 of the predecessor ciphertext
 //	U32      n            number of touched V entries
 //	n ×      U32 id, U64 TA, Bytes32 HA, U64 T, Bytes32 H, Var LastReply
-//	Var      ServiceDelta service.DeltaService.Delta() output
+//	Var      ServiceDelta service.Service.Delta() output
 //	U64      BeaconSeq    beacon ordinal (0 for ordinary batch records)
 //	U64      BeaconTick   platform counter tick the beacon reserved
 //	U32      m            number of removed (tombstoned) member ids
@@ -75,19 +78,22 @@ package core
 // bounded below by CompactMinRecords (tiny services must not thrash) and
 // above by CompactMaxRecords (recovery authenticates a bounded record
 // count no matter how small the records are). Configuring CompactEvery
-// or CompactBytes replaces the adaptive policy with those fixed
-// thresholds. Chain length/bytes, the observed snapshot size and the
-// compaction history are surfaced through Status.
+// (a snapshot every N-th persistence event) or CompactBytes replaces the
+// adaptive policy with those fixed thresholds. Chain length/bytes, the
+// observed snapshot size and the compaction history are surfaced through
+// Status.
 //
 // # Group commit (host side)
 //
-// The enclave's per-batch output is one sealed delta record; making it
-// durable is the host's job, and under fsync-per-write storage that cost
-// dominates. The host's group-commit pipeline (internal/host) therefore
-// decouples the ecall loop from persistence: batch results queue at a
-// committer which appends every queued record in one Store.AppendGroup
-// call — a single write and a single fsync for the whole group — while
-// the next ecall already runs. Replies are still released only after the
+// The enclave's per-event output is one sealed record or snapshot;
+// making it durable is the host's job, and under fsync-per-write storage
+// that cost dominates. Every result reaches disk through the host's group
+// committer (internal/host). It decouples the ecall loop from
+// persistence: results queue at the committer, which appends every
+// queued record in one Store.AppendGroup call — a single write and a
+// single fsync for the whole group — and collapses a run of queued
+// snapshots into one store of the last blob, while the next ecall
+// already runs. Replies are still released only after the
 // group's fsync returns, so the crash-tolerance contract (a reply seen by
 // a client implies its record is durable) is unchanged; the enclave may
 // merely run ahead of the disk by the in-flight window, which a crash
@@ -97,7 +103,8 @@ package core
 // Sec. 4.6.1 retry protocol. Non-batch ecalls (status, admin, migration)
 // act as barriers — the host flushes the committer first — so every
 // administrative view of the storage is consistent with acknowledged
-// batches.
+// batches. A commit-group cap of 1 (a commit-latency target below one
+// fsync) is the paper's per-batch fsync.
 
 import (
 	"crypto/sha256"
@@ -172,6 +179,10 @@ func (s *trustedState) encodedSize() int {
 	return size
 }
 
+// vEntryMinSize is the encoded size of a V entry with an empty LastReply:
+// the lower bound decoders divide the remaining bytes by.
+const vEntryMinSize = 4 + 8 + 2*hashchain.Size + 8 + 4
+
 func encodeVEntry(w *wire.Writer, id uint32, e *ventry) {
 	w.U32(id)
 	w.U64(e.TA)
@@ -228,9 +239,9 @@ func (s *trustedState) encode() []byte {
 func decodeTrustedState(b []byte) (*trustedState, error) {
 	r := wire.NewReader(b)
 	s := &trustedState{AdminSeq: r.U64(), Gen: r.U64(), KC: r.Var()}
-	n := r.U32()
+	n := r.Count(vEntryMinSize)
 	s.V = make(vmap, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id, e := decodeVEntry(r)
 		s.V[id] = e
 	}
@@ -240,10 +251,10 @@ func decodeTrustedState(b []byte) (*trustedState, error) {
 	s.GroupEpoch = r.U64()
 	s.QFloor = r.U64()
 	s.CommitteeSize = r.U32()
-	ne := r.U32()
+	ne := r.Count(4)
 	if ne > 0 {
 		s.Evicted = make([]uint32, ne)
-		for i := uint32(0); i < ne; i++ {
+		for i := 0; i < ne; i++ {
 			s.Evicted[i] = r.U32()
 		}
 	}
@@ -326,19 +337,19 @@ func decodeDeltaRecord(b []byte) (*deltaRecord, error) {
 		AdminSeq: r.U64(),
 		Prev:     r.Bytes32(),
 	}
-	n := r.U32()
+	n := r.Count(vEntryMinSize)
 	d.Entries = make(vmap, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id, e := decodeVEntry(r)
 		d.Entries[id] = e
 	}
 	d.Delta = r.Var()
 	d.BeaconSeq = r.U64()
 	d.BeaconTick = r.U64()
-	nr := r.U32()
+	nr := r.Count(4)
 	if nr > 0 {
 		d.Removed = make([]uint32, nr)
-		for i := uint32(0); i < nr; i++ {
+		for i := 0; i < nr; i++ {
 			d.Removed[i] = r.U32()
 		}
 	}
@@ -353,35 +364,28 @@ func decodeDeltaRecord(b []byte) (*deltaRecord, error) {
 }
 
 // migrationPayload is the plaintext the origin enclave seals to the
-// migration target's channel key (Sec. 4.6.2). It carries kP and one of
-// two state representations:
-//
-//   - Snapshot mode (ChainMode false): State is a full trustedState
-//     including the service snapshot — self-contained, used when delta
-//     persistence is inactive.
-//   - Chain mode (ChainMode true): State carries V, kC and adminSeq but an
-//     empty service snapshot. The service state travels outside the secure
-//     channel, as the sealed base blob + delta log, which the (untrusted)
-//     host copies to — or shares with — the target's stable storage; the
-//     sealing under kP keeps that path safe. The target rebuilds the state
-//     by folding its copy of the chain and accepts only if the fold ends
-//     exactly at ChainPrev, so a host serving a stale or truncated copy is
-//     refused rather than silently imported. Pending carries any service
-//     delta not yet covered by a persisted record. The secure-channel
-//     payload is thus O(V + pending) instead of O(state).
+// migration target's channel key (Sec. 4.6.2). It carries kP and a
+// trustedState with V, kC and adminSeq but an empty service snapshot.
+// The service state travels outside the secure channel, as the sealed
+// base blob + delta log, which the (untrusted) host copies to — or shares
+// with — the target's stable storage; the sealing under kP keeps that
+// path safe. The target rebuilds the state by folding its copy of the
+// chain and accepts only if the fold ends exactly at ChainPrev, so a host
+// serving a stale or truncated copy is refused rather than silently
+// imported. Pending carries any service delta not yet covered by a
+// persisted record. The secure-channel payload is thus O(V + pending)
+// instead of O(state).
 type migrationPayload struct {
 	KP        []byte
-	State     []byte // trustedState encoding (empty Snapshot in chain mode)
-	ChainMode bool
+	State     []byte // trustedState encoding (empty Snapshot)
 	ChainPrev [32]byte
 	Pending   []byte
 }
 
 func (m *migrationPayload) encode() []byte {
-	w := wire.NewWriter(49 + len(m.KP) + len(m.State) + len(m.Pending))
+	w := wire.NewWriter(48 + len(m.KP) + len(m.State) + len(m.Pending))
 	w.Var(m.KP)
 	w.Var(m.State)
-	w.Bool(m.ChainMode)
 	w.Bytes32(m.ChainPrev)
 	w.Var(m.Pending)
 	return w.Bytes()
@@ -390,7 +394,6 @@ func (m *migrationPayload) encode() []byte {
 func decodeMigrationPayload(b []byte) (*migrationPayload, error) {
 	r := wire.NewReader(b)
 	m := &migrationPayload{KP: r.Var(), State: r.Var()}
-	m.ChainMode = r.Bool()
 	m.ChainPrev = r.Bytes32()
 	m.Pending = r.Var()
 	if err := r.Done(); err != nil {

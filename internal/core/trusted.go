@@ -31,7 +31,6 @@ type Trusted struct {
 	serviceName  string
 	newService   service.Factory
 	attestation  *tee.AttestationService // verification root for migration targets
-	fullSeal     bool
 	compactEvery int
 	compactBytes int
 	compactRatio float64
@@ -43,7 +42,6 @@ type Trusted struct {
 
 	// Volatile state, rebuilt by init from the sealed blobs.
 	svc        service.Service
-	deltaSvc   service.DeltaService   // non-nil iff svc supports deltas
 	snapReader service.SnapshotReader // non-nil iff svc supports snapshot reads
 	t          uint64                 // sequence number of the last executed operation
 	h          hashchain.Value        // hash-chain value after it
@@ -131,15 +129,11 @@ type TrustedConfig struct {
 	// program, used when this enclave attests a migration target. May be
 	// nil if migration is not used.
 	Attestation *tee.AttestationService
-	// FullSeal disables incremental delta-log persistence even when the
-	// service implements service.DeltaService, re-sealing the full state
-	// on every batch (the paper's original Sec. 5.2 behaviour). Recovery
-	// still folds any existing delta log, so the toggle is safe across
-	// restarts.
-	FullSeal bool
-	// CompactEvery, when > 0, switches compaction to a fixed policy that
-	// re-seals after this many delta records (tests and ablations; the
-	// default is the adaptive snapshot/delta-ratio policy).
+	// CompactEvery, when > 0, switches compaction to a fixed policy: every
+	// CompactEvery-th persistence event (batch, beacon, epoch seal or
+	// churn record) is a full snapshot instead of a delta record. 1 is the
+	// paper's original Sec. 5.2 behaviour — a full seal per batch. The
+	// default is the adaptive snapshot/delta-ratio policy.
 	CompactEvery int
 	// CompactBytes, when > 0, switches compaction to a fixed policy that
 	// re-seals after this many sealed delta bytes.
@@ -174,7 +168,6 @@ func NewTrustedFactory(cfg TrustedConfig) tee.ProgramFactory {
 			serviceName:        cfg.ServiceName,
 			newService:         cfg.NewService,
 			attestation:        cfg.Attestation,
-			fullSeal:           cfg.FullSeal,
 			compactEvery:       cfg.CompactEvery,
 			compactBytes:       cfg.CompactBytes,
 			compactRatio:       compactRatio,
@@ -202,7 +195,6 @@ func (p *Trusted) Identity() string { return ProgramIdentity(p.serviceName) }
 func (p *Trusted) Init(env tee.Env) error {
 	p.ks = env.SealingKey()
 	p.svc = p.newService()
-	p.deltaSvc, _ = p.svc.(service.DeltaService)
 	p.snapReader, _ = p.svc.(service.SnapshotReader)
 	p.g = p.freshGroup(nil)
 
@@ -272,12 +264,6 @@ func (p *Trusted) foldDeltaLog(env tee.Env, baseBlob []byte) error {
 	if err != nil {
 		return fmt.Errorf("lcm: load delta log: %w", err)
 	}
-	if len(records) == 0 {
-		return nil
-	}
-	if p.deltaSvc == nil {
-		return tee.Halt("delta log present but service cannot apply deltas", nil)
-	}
 	for i, sealed := range records {
 		plain, err := aead.Open(p.kp, sealed, []byte(adDeltaLog))
 		if err != nil {
@@ -301,48 +287,59 @@ func (p *Trusted) foldDeltaLog(env tee.Env, baseBlob []byte) error {
 			}
 			return tee.Halt("delta log chain broken", nil)
 		}
-		if rec.FromT != p.t || rec.ToT < rec.FromT {
-			return tee.Halt("delta record sequence discontinuity", nil)
+		if err := p.applyRecord(rec, sealed, "delta record"); err != nil {
+			return err
 		}
-		if rec.AdminSeq != p.adminSeq {
-			return tee.Halt("delta record admin sequence mismatch", nil)
-		}
-		for id, e := range rec.Entries {
-			p.g.v[id] = e
-		}
-		p.g.applyTombstones(rec.Removed)
-		if rec.GroupEpoch > p.g.epoch {
-			p.g.epoch = rec.GroupEpoch
-			p.g.graceEpoch = rec.GroupEpoch
-		}
-		if rec.QFloor > p.g.qFloor {
-			p.g.qFloor = rec.QFloor
-		}
-		if err := p.deltaSvc.ApplyDelta(rec.Delta); err != nil {
-			return tee.Halt("service delta malformed", err)
-		}
-		p.t, p.h = p.g.v.argmax()
-		if rec.SeqT > p.t {
-			// A removal in this record may have deleted the entry holding
-			// the head; the record carries the authoritative (t, h).
-			p.t, p.h = rec.SeqT, rec.SeqH
-		}
-		if p.t != rec.ToT {
-			return tee.Halt("delta record does not reach its declared sequence", nil)
-		}
-		if rec.BeaconSeq > 0 {
-			// A beacon record: resume the counter-reservation protocol at
-			// the tick it reserved. beaconOpen stays false — whether the
-			// confirm increment ran is what the next reserve's R ∈
-			// {tick, tick−1} tolerance absorbs.
-			p.beaconSeq, p.beaconTick = rec.BeaconSeq, rec.BeaconTick
-		}
-		p.chainPrev = blobHash(sealed)
-		p.chainLen++
-		p.chainBytes += len(sealed)
 	}
 	p.durableT = p.t // the folded chain came from stable storage
 	p.chargeFootprint(env)
+	return nil
+}
+
+// applyRecord folds one authenticated delta record that chains onto the
+// current head — recovery's fold and a replica heal's chain sync apply
+// the same strict consistency rules. what names the record in halt
+// reasons.
+func (p *Trusted) applyRecord(rec *deltaRecord, sealed []byte, what string) error {
+	if rec.FromT != p.t || rec.ToT < rec.FromT {
+		return tee.Halt(what+" sequence discontinuity", nil)
+	}
+	if rec.AdminSeq != p.adminSeq {
+		return tee.Halt(what+" admin sequence mismatch", nil)
+	}
+	for id, e := range rec.Entries {
+		p.g.v[id] = e
+	}
+	p.g.applyTombstones(rec.Removed)
+	if rec.GroupEpoch > p.g.epoch {
+		p.g.epoch = rec.GroupEpoch
+		p.g.graceEpoch = rec.GroupEpoch
+	}
+	if rec.QFloor > p.g.qFloor {
+		p.g.qFloor = rec.QFloor
+	}
+	if err := p.svc.ApplyDelta(rec.Delta); err != nil {
+		return tee.Halt("service delta malformed", err)
+	}
+	p.t, p.h = p.g.v.argmax()
+	if rec.SeqT > p.t {
+		// A removal in this record may have deleted the entry holding the
+		// head; the record carries the authoritative (t, h).
+		p.t, p.h = rec.SeqT, rec.SeqH
+	}
+	if p.t != rec.ToT {
+		return tee.Halt(what+" does not reach its declared sequence", nil)
+	}
+	if rec.BeaconSeq > 0 {
+		// A beacon record: resume the counter-reservation protocol at the
+		// tick it reserved. beaconOpen stays false — whether the confirm
+		// increment ran is what the next reserve's R ∈ {tick, tick−1}
+		// tolerance absorbs.
+		p.beaconSeq, p.beaconTick = rec.BeaconSeq, rec.BeaconTick
+	}
+	p.chainPrev = blobHash(sealed)
+	p.chainLen++
+	p.chainBytes += len(sealed)
 	return nil
 }
 
@@ -469,7 +466,6 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 			NumClients:     len(p.g.v),
 			Gen:            p.gen,
 			Resharding:     p.resh != nil,
-			DeltaActive:    p.deltaActive(),
 			ChainLen:       p.chainLen,
 			ChainBytes:     p.chainBytes,
 			SnapshotBytes:  p.snapBytes,
@@ -489,14 +485,14 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 		return p.handleReshardChallenge(env)
 	case callReshardBegin:
 		newShards := int(r.U32())
-		n := r.U32()
+		n := r.Count(4)
 		targetQuotes := make([][]byte, 0, n)
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			targetQuotes = append(targetQuotes, r.Var())
 		}
-		n = r.U32()
+		n = r.Count(4)
 		var peerQuotes [][]byte
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			peerQuotes = append(peerQuotes, r.Var())
 		}
 		adminChannel := r.Var()
@@ -519,9 +515,9 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 	case callReshardImport:
 		senderPub := r.Var()
 		leadCT := r.Var()
-		n := r.U32()
+		n := r.Count(4)
 		pieces := make([][]byte, 0, n)
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			pieces = append(pieces, r.Var())
 		}
 		if err := r.Done(); err != nil {
@@ -534,9 +530,9 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 		}
 		return p.handleReshardAbort(env)
 	case callChainSync:
-		n := r.U32()
+		n := r.Count(4)
 		records := make([][]byte, 0, n)
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			records = append(records, r.Var())
 		}
 		if err := r.Done(); err != nil {
@@ -577,9 +573,9 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 		}
 		return p.handleEpochSeal(env)
 	case callChurn:
-		n := r.U32()
+		n := r.Count(4)
 		msgs := make([][]byte, 0, n)
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			msgs = append(msgs, r.Var())
 		}
 		if err := r.Done(); err != nil {
@@ -596,14 +592,10 @@ func (p *Trusted) dispatch(env tee.Env, payload []byte) ([]byte, error) {
 	}
 }
 
-// deltaActive reports whether batches persist through the sealed delta
-// log instead of full-state seals.
-func (p *Trusted) deltaActive() bool { return p.deltaSvc != nil && !p.fullSeal }
-
 // handleBatch processes a batch of INVOKE messages sequentially (the main
 // loop of Alg. 2) and seals the persistence record once per batch: a
-// delta record covering exactly this batch's changes in the common case,
-// or a full state blob in full-seal mode and at compaction points.
+// delta record covering exactly this batch's changes, or a full snapshot
+// at compaction points (see sealResult).
 func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	if !p.provisioned() {
 		return nil, ErrNotProvisioned
@@ -622,19 +614,14 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 	}
 	fromT := p.t
 	replies := make([][]byte, 0, len(invokes))
-	var touched map[uint32]*ventry
-	if p.deltaActive() {
-		touched = make(map[uint32]*ventry, len(invokes))
-	}
+	touched := make(vmap, len(invokes))
 	for _, ct := range invokes {
 		reply, id, err := p.handleInvoke(ct)
 		if err != nil {
 			return nil, err
 		}
 		replies = append(replies, reply)
-		if touched != nil {
-			touched[id] = p.g.v[id]
-		}
+		touched[id] = p.g.v[id]
 	}
 	p.chargeFootprint(env)
 	if p.readsArmed && p.snapReader != nil {
@@ -644,47 +631,52 @@ func (p *Trusted) handleBatch(env tee.Env, invokes [][]byte) ([]byte, error) {
 		p.snapReader.EndBatch(p.t)
 	}
 	res := BatchResult{Replies: replies, Seq: p.t}
-	switch {
-	case touched == nil:
-		// Full-seal mode (or a service without delta support): the
-		// original per-batch O(state) seal.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-	case p.shouldCompact():
-		// Compaction: re-seal a full snapshot and direct the host to
-		// truncate the log. Snapshot subsumes this batch's pending
-		// delta (the DeltaService contract), so nothing is lost.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-		res.Compact = true
-	default:
-		rec, err := p.sealDeltaRecord(fromT, touched, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.DeltaRecord = rec
+	if err := p.sealResult(&res, deltaRecord{FromT: fromT, Entries: touched}, false); err != nil {
+		return nil, err
 	}
 	return encodeBatchResult(&res), nil
 }
 
-// shouldCompact decides whether the next batch re-seals a full snapshot
-// instead of appending a delta record. With an explicit CompactEvery or
-// CompactBytes configured the fixed thresholds apply verbatim; otherwise
-// the adaptive policy compacts once the chain's replay cost (its sealed
-// bytes) exceeds compactRatio times the observed full-snapshot size,
-// bounded below by CompactMinRecords and above by CompactMaxRecords.
+// sealResult seals one persistence event into res — the single format in
+// which every state change (batch, beacon, epoch seal, churn) reaches
+// disk. The common case is a delta record chained onto the log; rec
+// carries the event's own fields (FromT, touched entries, tombstones,
+// beacon fields) and sealDeltaRecord fills in the rest. When snapshot is
+// set (a kC rotation lives only in the state blob) or the compaction
+// policy fires, it seals a full snapshot instead and marks it Compact:
+// the host stores it and truncates the log it subsumes. A snapshot also
+// subsumes the service's pending delta, so nothing is lost.
+func (p *Trusted) sealResult(res *BatchResult, rec deltaRecord, snapshot bool) error {
+	if snapshot || p.shouldCompact() {
+		blob, err := p.sealState()
+		if err != nil {
+			return err
+		}
+		res.StateBlob, res.Compact = blob, true
+		return nil
+	}
+	sealed, err := p.sealDeltaRecord(rec)
+	if err != nil {
+		return err
+	}
+	res.DeltaRecord = sealed
+	return nil
+}
+
+// shouldCompact decides whether the next persistence event re-seals a
+// full snapshot instead of appending a delta record. With an explicit
+// CompactEvery or CompactBytes configured the fixed thresholds apply
+// verbatim (CompactEvery counts this event, so 1 snapshots every time);
+// otherwise the adaptive policy compacts once the chain's replay cost
+// (its sealed bytes) exceeds compactRatio times the observed
+// full-snapshot size, bounded below by CompactMinRecords and above by
+// CompactMaxRecords.
 func (p *Trusted) shouldCompact() bool {
 	if p.forceCompact {
 		return true
 	}
 	if p.compactEvery > 0 || p.compactBytes > 0 {
-		return (p.compactEvery > 0 && p.chainLen >= p.compactEvery) ||
+		return (p.compactEvery > 0 && p.chainLen+1 >= p.compactEvery) ||
 			(p.compactBytes > 0 && p.chainBytes >= p.compactBytes)
 	}
 	if p.chainLen < CompactMinRecords {
@@ -700,26 +692,23 @@ func (p *Trusted) shouldCompact() bool {
 	return float64(p.chainBytes) >= p.compactRatio*float64(snap)
 }
 
-// sealDeltaRecord seals this batch's delta record and advances the chain.
-// removed lists membership tombstones (churn leaves) the record carries.
-func (p *Trusted) sealDeltaRecord(fromT uint64, touched map[uint32]*ventry, removed []uint32) ([]byte, error) {
-	delta, err := p.deltaSvc.Delta()
+// sealDeltaRecord completes rec with the service's pending delta and the
+// context's chain and sequence fields, seals it, and advances the chain.
+// Beacon records are ordinary records with an empty batch — a clone
+// committing beacons of its own forks the chain like any other divergent
+// writer.
+func (p *Trusted) sealDeltaRecord(rec deltaRecord) ([]byte, error) {
+	delta, err := p.svc.Delta()
 	if err != nil {
 		return nil, fmt.Errorf("lcm: service delta: %w", err)
 	}
-	rec := deltaRecord{
-		FromT:      fromT,
-		ToT:        p.t,
-		AdminSeq:   p.adminSeq,
-		Prev:       p.chainPrev,
-		Entries:    touched,
-		Delta:      delta,
-		Removed:    removed,
-		GroupEpoch: p.g.epoch,
-		QFloor:     p.g.qFloor,
-		SeqT:       p.t,
-		SeqH:       p.h,
-	}
+	rec.ToT = p.t
+	rec.AdminSeq = p.adminSeq
+	rec.Prev = p.chainPrev
+	rec.Delta = delta
+	rec.GroupEpoch = p.g.epoch
+	rec.QFloor = p.g.qFloor
+	rec.SeqT, rec.SeqH = p.t, p.h
 	w := wire.GetWriter(rec.encodedSize())
 	rec.encodeTo(w)
 	sealed, err := aead.Seal(p.kp, w.Bytes(), []byte(adDeltaLog))
@@ -785,67 +774,11 @@ func (p *Trusted) handleBeacon(env tee.Env) ([]byte, error) {
 	p.beaconTick = read + 1
 	p.beaconOpen = true
 	res := BatchResult{Seq: p.t, Beacon: true}
-	switch {
-	case !p.deltaActive():
-		// Full-seal mode: the beacon fields travel in the state blob.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-	case p.shouldCompact():
-		// Never append behind a stale prefix (forceCompact) and keep the
-		// chain bounded: compact exactly like a batch would.
-		blob, err := p.sealState()
-		if err != nil {
-			return nil, err
-		}
-		res.StateBlob = blob
-		res.Compact = true
-	default:
-		rec, err := p.sealBeaconRecord()
-		if err != nil {
-			return nil, err
-		}
-		res.DeltaRecord = rec
+	rec := deltaRecord{FromT: p.t, BeaconSeq: p.beaconSeq, BeaconTick: p.beaconTick}
+	if err := p.sealResult(&res, rec, false); err != nil {
+		return nil, err
 	}
 	return encodeBatchResult(&res), nil
-}
-
-// sealBeaconRecord seals an empty-batch delta record carrying the beacon
-// fields and advances the chain exactly like a batch record — a clone
-// committing beacons of its own forks the chain like any other divergent
-// writer.
-func (p *Trusted) sealBeaconRecord() ([]byte, error) {
-	delta, err := p.deltaSvc.Delta()
-	if err != nil {
-		return nil, fmt.Errorf("lcm: service delta: %w", err)
-	}
-	rec := deltaRecord{
-		FromT:      p.t,
-		ToT:        p.t,
-		AdminSeq:   p.adminSeq,
-		Prev:       p.chainPrev,
-		Entries:    vmap{},
-		Delta:      delta,
-		BeaconSeq:  p.beaconSeq,
-		BeaconTick: p.beaconTick,
-		GroupEpoch: p.g.epoch,
-		QFloor:     p.g.qFloor,
-		SeqT:       p.t,
-		SeqH:       p.h,
-	}
-	w := wire.GetWriter(rec.encodedSize())
-	rec.encodeTo(w)
-	sealed, err := aead.Seal(p.kp, w.Bytes(), []byte(adDeltaLog))
-	wire.PutWriter(w)
-	if err != nil {
-		return nil, fmt.Errorf("lcm: seal beacon record: %w", err)
-	}
-	p.chainPrev = blobHash(sealed)
-	p.chainLen++
-	p.chainBytes += len(sealed)
-	return sealed, nil
 }
 
 // handleBeaconConfirm claims the counter tick the last beacon reserved,
@@ -1089,19 +1022,6 @@ func (p *Trusted) handleAdmin(env tee.Env, ct []byte) ([]byte, error) {
 		}
 		p.g.v[op.ClientID] = &ventry{}
 		delete(p.g.evicted, op.ClientID)
-	case adminRemoveClient:
-		if _, exists := p.g.v[op.ClientID]; !exists {
-			return nil, ErrUnknownClient
-		}
-		if len(p.g.v) == 1 {
-			return nil, errors.New("lcm: cannot remove the last client")
-		}
-		newKC, err := aead.KeyFromBytes(op.NewKC)
-		if err != nil {
-			return nil, fmt.Errorf("lcm: remove: new kC: %w", err)
-		}
-		p.g.remove(op.ClientID)
-		p.kc = newKC
 	case adminLeaveClient:
 		// Cooperative departure: no key rotation (the leaver holds kC
 		// legitimately), tombstoned so a later invoke fails benignly.
@@ -1202,28 +1122,15 @@ func (p *Trusted) handleMigrateExport(env tee.Env, quoteBytes []byte) ([]byte, e
 		SeqT:          p.t,
 		SeqH:          p.h,
 	}
-	payload := migrationPayload{KP: p.kp.Bytes()}
-	if p.deltaActive() {
-		// Chain mode: carry the delta chain instead of forcing an
-		// O(state) snapshot. The service state reaches the target as the
-		// host-side sealed base blob + delta log; the payload pins the
-		// chain head the target's fold must reach, plus any service
-		// changes not yet covered by a persisted record.
-		pending, err := p.deltaSvc.Delta()
-		if err != nil {
-			return nil, fmt.Errorf("lcm: pending delta for migration: %w", err)
-		}
-		payload.ChainMode = true
-		payload.ChainPrev = p.chainPrev
-		payload.Pending = pending
-	} else {
-		snapshot, err := p.svc.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("lcm: snapshot for migration: %w", err)
-		}
-		state.Snapshot = snapshot
+	// The service state reaches the target as the host-side sealed base
+	// blob + delta log; the payload pins the chain head the target's fold
+	// must reach, plus any service changes not yet covered by a persisted
+	// record.
+	pending, err := p.svc.Delta()
+	if err != nil {
+		return nil, fmt.Errorf("lcm: pending delta for migration: %w", err)
 	}
-	payload.State = state.encode()
+	payload := migrationPayload{KP: p.kp.Bytes(), State: state.encode(), ChainPrev: p.chainPrev, Pending: pending}
 	senderPub, ct, err := securechannel.Seal(quote.UserData, payload.encode())
 	if err != nil {
 		return nil, fmt.Errorf("lcm: seal migration payload: %w", err)
@@ -1233,8 +1140,8 @@ func (p *Trusted) handleMigrateExport(env tee.Env, quoteBytes []byte) ([]byte, e
 	return encodeMigrationExport(&MigrationExport{SenderPub: senderPub, Ciphertext: ct}), nil
 }
 
-// handleMigrateImport installs state received from a migration origin and
-// re-seals it under this platform's sealing key.
+// handleMigrateImport installs state received from a migration origin
+// (see importChain).
 func (p *Trusted) handleMigrateImport(env tee.Env, inner []byte) ([]byte, error) {
 	if p.provisioned() {
 		return nil, ErrAlreadyProvisioned
@@ -1259,35 +1166,17 @@ func (p *Trusted) handleMigrateImport(env tee.Env, inner []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	if payload.ChainMode {
-		return p.importChain(env, kp, state, payload)
-	}
-	if err := p.install(env, kp, state); err != nil {
-		return nil, err
-	}
-	// The counter is a platform resource and did not migrate with the
-	// state; rebase the reservation on this platform's current value. The
-	// origin stopped processing before exporting, so no live writer is
-	// being forgiven. (On a fresh platform this reads 0.)
-	p.beaconTick = env.CounterRead(p.counterID())
-	if err := p.persist(env); err != nil {
-		return nil, err
-	}
-	return []byte("ok"), nil
+	return p.importChain(env, kp, state, payload)
 }
 
-// importChain completes a chain-mode migration import: the service state
-// is rebuilt from this host's copy of the origin's sealed base blob and
-// delta log, verified to end exactly at the chain head the origin pinned
-// in the payload, while V, kC and the admin sequence come from the
-// payload itself. Only the key blob is re-sealed (under this platform's
-// sealing key); the state blob and log continue unchanged, so the target
-// resumes the chain — and its compaction bookkeeping — where the origin
-// left off.
+// importChain completes a migration import: the service state is rebuilt
+// from this host's copy of the origin's sealed base blob and delta log,
+// verified to end exactly at the chain head the origin pinned in the
+// payload, while V, kC and the admin sequence come from the payload
+// itself. Only the key blob is re-sealed (under this platform's sealing
+// key); the state blob and log continue unchanged, so the target resumes
+// the chain — and its compaction bookkeeping — where the origin left off.
 func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, payload *migrationPayload) ([]byte, error) {
-	if p.deltaSvc == nil {
-		return nil, errors.New("lcm: chain-mode migration requires a delta-capable service")
-	}
 	baseBlob, err := env.Host().Load(SlotStateBlob)
 	if errors.Is(err, stablestore.ErrNotFound) {
 		return nil, errors.New("lcm: chain-mode migration: origin's sealed state not present on this host")
@@ -1338,13 +1227,15 @@ func (p *Trusted) importChain(env tee.Env, kp aead.Key, state *trustedState, pay
 		p.t, p.h = state.SeqT, state.SeqH
 	}
 	if len(payload.Pending) > 0 {
-		if err := p.deltaSvc.ApplyDelta(payload.Pending); err != nil {
+		if err := p.svc.ApplyDelta(payload.Pending); err != nil {
 			return nil, tee.Halt("migration pending delta malformed", err)
 		}
 	}
 	// The payload's beacon ordinal is authoritative (≥ anything the fold
-	// reconstructed); the counter tick rebases on this platform, exactly
-	// as in the snapshot-mode import.
+	// reconstructed). The counter is a platform resource and did not
+	// migrate with the state; rebase the reservation on this platform's
+	// current value. The origin stopped processing before exporting, so no
+	// live writer is being forgiven. (On a fresh platform this reads 0.)
 	p.beaconSeq = state.BeaconSeq
 	p.beaconTick = env.CounterRead(p.counterID())
 	p.chargeFootprint(env)

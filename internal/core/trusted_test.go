@@ -88,6 +88,23 @@ func (r *rig) persistBatch(batch *BatchResult) error {
 	return nil
 }
 
+// sealEpoch runs one membership epoch seal and persists its result the
+// way the honest host does.
+func (r *rig) sealEpoch() {
+	r.t.Helper()
+	resp, err := r.enclave.Call(EncodeEpochSealCall())
+	if err != nil {
+		r.t.Fatalf("epoch seal: %v", err)
+	}
+	res, err := DecodeBatchResult(resp)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.persistBatch(res); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
 // deliver sends one already-encoded invoke and completes the reply.
 func (r *rig) deliver(c *Client, invokeCT []byte) (*Result, error) {
 	resp, err := r.enclave.Call(EncodeBatchCall([][]byte{invokeCT}))
@@ -659,14 +676,15 @@ func TestMigrationInitOnForeignPlatformAwaitsImport(t *testing.T) {
 }
 
 // Group membership (Sec. 4.6.3): adding a client extends V and the
-// stability quorum; removing one rotates kC so the evictee is cut off.
+// stability quorum; removing one (an eviction applied at the epoch seal)
+// rotates kC so the evictee is cut off.
 func TestMembershipAddAndRemove(t *testing.T) {
 	r := newRig(t, []uint32{1, 2})
 	r.mustPut(1, "k", "v")
 
 	// Add client 3.
-	if err := r.admin.AddClient(r.enclave.Call, 3); err != nil {
-		t.Fatalf("AddClient: %v", err)
+	if err := r.admin.Join(r.enclave.Call, 3); err != nil {
+		t.Fatalf("Join: %v", err)
 	}
 	status, _ := QueryStatus(r.enclave.Call)
 	if status.NumClients != 3 {
@@ -678,16 +696,20 @@ func TestMembershipAddAndRemove(t *testing.T) {
 		t.Fatalf("new client op: %v", err)
 	}
 
-	// Duplicate add rejected.
-	if err := r.admin.AddClient(r.enclave.Call, 3); err == nil {
-		t.Fatal("duplicate AddClient accepted")
+	// A duplicate join changes nothing.
+	if err := r.admin.Join(r.enclave.Call, 3); err != nil {
+		t.Fatalf("repeated Join: %v", err)
+	}
+	status, _ = QueryStatus(r.enclave.Call)
+	if status.NumClients != 3 {
+		t.Fatalf("NumClients = %d after repeated join", status.NumClients)
 	}
 
-	// Remove client 2; kC rotates.
-	newKC, err := r.admin.RemoveClient(r.enclave.Call, 2)
-	if err != nil {
-		t.Fatalf("RemoveClient: %v", err)
+	// Remove client 2: the epoch seal applies the eviction and rotates kC.
+	if err := r.admin.Evict(r.enclave.Call, 2); err != nil {
+		t.Fatalf("Evict: %v", err)
 	}
+	r.sealEpoch()
 	status, _ = QueryStatus(r.enclave.Call)
 	if status.NumClients != 2 {
 		t.Fatalf("NumClients = %d after remove", status.NumClients)
@@ -701,7 +723,6 @@ func TestMembershipAddAndRemove(t *testing.T) {
 	if _, err := r.enclave.Call(EncodeBatchCall([][]byte{inv})); !errors.Is(err, tee.ErrEnclaveHalted) {
 		t.Fatalf("evicted client op = %v, want halt", err)
 	}
-	_ = newKC
 }
 
 // Remaining clients continue across a key rotation by resuming their
@@ -710,10 +731,14 @@ func TestMembershipKeyRotationContinuity(t *testing.T) {
 	r := newRig(t, []uint32{1, 2, 3})
 	r.mustPut(1, "k", "v1")
 
-	newKC, err := r.admin.RemoveClient(r.enclave.Call, 3)
-	if err != nil {
+	if err := r.admin.Evict(r.enclave.Call, 3); err != nil {
 		t.Fatal(err)
 	}
+	r.sealEpoch()
+	if _, err := r.admin.Members(r.enclave.Call); err != nil {
+		t.Fatal(err)
+	}
+	newKC := r.admin.CommunicationKey()
 	// Client 1 adopts k'C (distributed by the admin out of band) while
 	// keeping its tc/hc — the protocol context survives rotation.
 	c1 := r.clients[1]
@@ -741,7 +766,7 @@ func TestAdminOpReplayRejected(t *testing.T) {
 		captured = append([]byte(nil), payload...)
 		return r.enclave.Call(payload)
 	}
-	if err := r.admin.AddClient(call, 2); err != nil {
+	if err := r.admin.Join(call, 2); err != nil {
 		t.Fatal(err)
 	}
 	// The malicious server replays the captured admin message.
@@ -750,11 +775,18 @@ func TestAdminOpReplayRejected(t *testing.T) {
 	}
 }
 
+// The epoch seal never evicts the last member: the staged eviction is
+// dropped, kC stays, and the client keeps working.
 func TestRemoveLastClientRejected(t *testing.T) {
 	r := newRig(t, []uint32{1})
-	if _, err := r.admin.RemoveClient(r.enclave.Call, 1); err == nil {
-		t.Fatal("removing the last client succeeded")
+	if err := r.admin.Evict(r.enclave.Call, 1); err != nil {
+		t.Fatal(err)
 	}
+	r.sealEpoch()
+	if status, _ := QueryStatus(r.enclave.Call); status.NumClients != 1 || status.Evictions != 0 {
+		t.Fatalf("removing the last client succeeded: %+v", status)
+	}
+	r.mustPut(1, "k", "v")
 }
 
 // A state blob that vanishes while the key blob remains is a violation:

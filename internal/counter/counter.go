@@ -141,11 +141,11 @@ func dstKey(id string) string { return "dst/" + id }
 // ErrMalformedOp reports an operation that does not decode.
 var ErrMalformedOp = errors.New("counter: malformed operation")
 
-// Bank is the counter service. It implements service.Service and
-// service.DeltaService: every mutation marks the touched accounts dirty,
-// and Delta serializes just those balances — so under LCM the bank's
-// per-batch sealed record grows with the batch, not with the number of
-// accounts (the same O(batch) persistence the kvs workload enjoys).
+// Bank is the counter service. It implements service.Service: every
+// mutation marks the touched accounts dirty, and Delta serializes just
+// those balances — so under LCM the bank's per-batch sealed record grows
+// with the batch, not with the number of accounts (the same O(batch)
+// persistence the kvs workload enjoys).
 type Bank struct {
 	accounts map[string]int64
 	dirty    map[string]struct{}
@@ -171,7 +171,6 @@ type Bank struct {
 
 var (
 	_ service.Service        = (*Bank)(nil)
-	_ service.DeltaService   = (*Bank)(nil)
 	_ service.Sharder        = (*Bank)(nil)
 	_ service.Resharder      = (*Bank)(nil)
 	_ service.SnapshotReader = (*Bank)(nil)
@@ -503,7 +502,7 @@ func (b *Bank) Snapshot() ([]byte, error) {
 	}
 	// A snapshot captures every pending change — including the absence of
 	// pruned records — so the dirty and deleted sets restart empty (the
-	// DeltaService contract).
+	// service.Service contract).
 	clear(b.dirty)
 	clear(b.dirtyTx)
 	clear(b.deletedTx)
@@ -540,7 +539,7 @@ func (b *Bank) Restore(snapshot []byte) error {
 	return nil
 }
 
-// Delta implements service.DeltaService: it serializes the balances of
+// Delta implements service.Service: it serializes the balances of
 // every account and the full record of every transaction touched since
 // the last Delta or Snapshot (sorted, so identical change sets encode
 // identically), followed by the keys of transaction records pruned in
@@ -581,7 +580,7 @@ func (b *Bank) Delta() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// ApplyDelta implements service.DeltaService. Changes record pre-images
+// ApplyDelta implements service.Service. Changes record pre-images
 // like Apply's, so a healed chain suffix stays invisible to snapshot
 // readers until it is reported durable.
 func (b *Bank) ApplyDelta(delta []byte) error {

@@ -162,7 +162,7 @@ func TestQuickTransfersConserveTotal(t *testing.T) {
 }
 
 // Delta serializes only the touched accounts, folds back exactly, and
-// resets the tracking — the DeltaService contract.
+// resets the tracking — the service.Service contract.
 func TestDeltaTracksTouchedAccounts(t *testing.T) {
 	b := New()
 	mustApply(t, b, Inc("alice", 100))

@@ -52,10 +52,9 @@ func (s *Server) beaconLoop(inst *instance) {
 }
 
 // beaconOnce performs one beacon round: the reserve ecall behind the
-// persistence barrier, then the record's persistence. Under group commit
-// the result queues at the committer — which confirms the beacon after
-// the group's fsync — exactly like a batch result; otherwise the inline
-// path persists and confirms here.
+// persistence barrier, then the record's hand-off to the committer, which
+// confirms the beacon after the group's fsync exactly like it releases a
+// batch's replies.
 func (s *Server) beaconOnce(inst *instance) error {
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
@@ -69,27 +68,8 @@ func (s *Server) beaconOnce(inst *instance) error {
 	if err != nil {
 		return errors.New("host: malformed beacon response")
 	}
-	if inst.cm != nil {
-		if inst.enclave.Epoch() != epoch {
-			// Same hazard as processBatch: a committer-initiated restart
-			// raced the ecall, so the sealed record may not belong to the
-			// live chain. Restart once more and drop the beacon; the next
-			// tick retries.
-			_ = inst.enclave.Restart()
-			return nil
-		}
-		select {
-		case inst.cm.ch <- commitReq{result: result, epoch: epoch}:
-		case <-s.stop:
-		}
-		return nil
-	}
-	if err := s.persistBatchResult(inst, result); err != nil {
-		return err
-	}
-	s.advanceDurable(inst, result.Seq)
-	_, err = inst.enclave.Call(core.EncodeBeaconConfirmCall())
-	return err
+	s.enqueueLocked(inst, commitReq{result: result, epoch: epoch})
+	return nil
 }
 
 // confirmBeacons issues the beacon-confirm ecall for every just-durable

@@ -17,7 +17,7 @@ import (
 )
 
 // cloneStack is the clone-attack test deployment: like stack, but with a
-// configurable beacon interval and commit path.
+// configurable beacon interval and optional Config adjustments.
 type cloneStack struct {
 	t        *testing.T
 	net      *transport.InmemNetwork
@@ -26,7 +26,7 @@ type cloneStack struct {
 	platform *tee.Platform
 }
 
-func newCloneStack(t *testing.T, name string, clientIDs []uint32, beacon time.Duration, groupCommit bool) *cloneStack {
+func newCloneStack(t *testing.T, name string, clientIDs []uint32, beacon time.Duration, tweaks ...func(*Config)) *cloneStack {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-clone-" + name)
@@ -34,7 +34,7 @@ func newCloneStack(t *testing.T, name string, clientIDs []uint32, beacon time.Du
 		t.Fatal(err)
 	}
 	attestation.Register(platform)
-	server, err := New(Config{
+	cfg := Config{
 		Platform: platform,
 		Factory: core.NewTrustedFactory(core.TrustedConfig{
 			ServiceName: "kvs",
@@ -43,9 +43,12 @@ func newCloneStack(t *testing.T, name string, clientIDs []uint32, beacon time.Du
 		}),
 		Store:          stablestore.NewMemStore(),
 		BatchSize:      1,
-		GroupCommit:    groupCommit,
 		BeaconInterval: beacon,
-	})
+	}
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
+	server, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestCloneAttackUndetectedWithDisjointClients(t *testing.T) {
 	// (neither partition can assemble a 4-of-6 majority), so the
 	// demonstration isolates the per-client chain check — stability is a
 	// separate, orthogonal signal that stalls under any partition.
-	s := newCloneStack(t, "blindspot", []uint32{1, 2, 3, 4, 5, 6}, 0, false)
+	s := newCloneStack(t, "blindspot", []uint32{1, 2, 3, 4, 5, 6}, 0)
 	log := consistency.NewLog()
 
 	record := func(id uint32, c *client.Session, op []byte, res *core.Result) {
@@ -218,7 +221,7 @@ func TestCloneAttackUndetectedWithDisjointClients(t *testing.T) {
 // crossing the partition, and the surviving instance keeps serving.
 func TestCloneBeaconDetection(t *testing.T) {
 	const interval = 50 * time.Millisecond
-	s := newCloneStack(t, "beacon", []uint32{1, 2, 9}, interval, false)
+	s := newCloneStack(t, "beacon", []uint32{1, 2, 9}, interval)
 
 	c1 := s.session(1)
 	if _, err := c1.Do(kvs.Put("k", "v")); err != nil {
@@ -286,20 +289,26 @@ func TestCloneBeaconDetection(t *testing.T) {
 }
 
 // Beacons on an un-cloned deployment never fire: heavy traffic, both
-// commit paths, and an honest enclave restart (which replays the beacon
-// records from the sealed chain and re-bases on the counter's tolerance
-// window) produce zero false positives — and the beacons demonstrably ran.
+// commit cadences, and an honest enclave restart (which replays the
+// beacon records from the sealed chain and re-bases on the counter's
+// tolerance window) produce zero false positives — and the beacons
+// demonstrably ran. The "inline" arm pins the commit-group cap at 1 (a
+// latency target below any fsync), so every batch and beacon result is
+// persisted on its own before its reply, as the paper's per-batch path;
+// the "group-commit" arm uses the default target.
 func TestBeaconNoFalsePositives(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		groupCommit bool
+		name   string
+		target time.Duration
 	}{
-		{"inline", false},
-		{"group-commit", true},
+		{"inline", time.Nanosecond},
+		{"group-commit", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const interval = 5 * time.Millisecond
-			s := newCloneStack(t, "honest-"+tc.name, []uint32{1, 2}, interval, tc.groupCommit)
+			s := newCloneStack(t, "honest-"+tc.name, []uint32{1, 2}, interval, func(c *Config) {
+				c.CommitLatencyTarget = tc.target
+			})
 			c1, c2 := s.session(1), s.session(2)
 			for i := 0; i < 40; i++ {
 				if _, err := c1.Do(kvs.Put(fmt.Sprintf("a%d", i), "v")); err != nil {
@@ -335,7 +344,7 @@ func TestBeaconNoFalsePositives(t *testing.T) {
 // phases (fork-then-clone, clone-then-restart) instead of leaking one
 // phase's override into the next.
 func TestAttackArmsCompose(t *testing.T) {
-	s := newCloneStack(t, "compose", []uint32{1, 2, 3, 4}, 0, false)
+	s := newCloneStack(t, "compose", []uint32{1, 2, 3, 4}, 0)
 
 	c1 := s.session(1)
 	if _, err := c1.Do(kvs.Put("k", "v0")); err != nil {
@@ -404,7 +413,7 @@ func TestAttackArmsCompose(t *testing.T) {
 func TestBeaconFreshnessHorizon(t *testing.T) {
 	t.Run("fresh", func(t *testing.T) {
 		const interval = 10 * time.Millisecond
-		s := newCloneStack(t, "fresh", []uint32{1}, interval, false)
+		s := newCloneStack(t, "fresh", []uint32{1}, interval)
 		conn, err := s.net.Dial("lcm-server")
 		if err != nil {
 			t.Fatal(err)
@@ -432,7 +441,7 @@ func TestBeaconFreshnessHorizon(t *testing.T) {
 	t.Run("gagged", func(t *testing.T) {
 		// Beacons off stands in for the gagged clone: the beacon ordinal in
 		// replies never advances.
-		s := newCloneStack(t, "gagged", []uint32{1}, 0, false)
+		s := newCloneStack(t, "gagged", []uint32{1}, 0)
 		conn, err := s.net.Dial("lcm-server")
 		if err != nil {
 			t.Fatal(err)
@@ -460,7 +469,7 @@ func TestBeaconFreshnessHorizon(t *testing.T) {
 }
 
 // Seeded fuzz over the clone-attack space: random clone-spawn timing ×
-// client partition × beacon interval × commit path, with honest restarts
+// client partition × beacon interval, with honest restarts
 // thrown in. Un-cloned runs must never halt (no false positives); cloned
 // runs must detect within the polling deadline. Runs under -race in CI
 // (-count=3) and nightly (-count=10).
@@ -471,9 +480,9 @@ func TestCloneDetectFuzz(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			interval := time.Duration(4+rng.Intn(13)) * time.Millisecond
 			cloned := seed%2 == 0
-			groupCommit := rng.Intn(2) == 0
+			_ = rng.Intn(2) // the retired commit-path coin; drawn so every seed keeps its schedule
 			ids := []uint32{1, 2, 3, 4, 5, 6}
-			s := newCloneStack(t, fmt.Sprintf("fuzz-%d", seed), ids, interval, groupCommit)
+			s := newCloneStack(t, fmt.Sprintf("fuzz-%d", seed), ids, interval)
 
 			// Primary partition: a random split of the first four clients.
 			nPrimary := 1 + rng.Intn(3)
@@ -534,12 +543,11 @@ func TestCloneDetectFuzz(t *testing.T) {
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				if _, err := anyCloneHalt(s.server); err != nil {
-					t.Logf("interval=%v groupCommit=%v: detected after %v",
-						interval, groupCommit, time.Since(injected))
+					t.Logf("interval=%v: detected after %v", interval, time.Since(injected))
 					return
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("clone not detected (interval=%v groupCommit=%v)", interval, groupCommit)
+					t.Fatalf("clone not detected (interval=%v)", interval)
 				}
 				time.Sleep(interval / 4)
 			}

@@ -16,17 +16,17 @@ import (
 // Config.EpochInterval the per-instance epoch loop asks the enclave to
 // seal a membership epoch — batching staged evictions, rotating kC when
 // any fire, and resealing the witness-committee digests. The seal's
-// result carries a sealed record (or a full state blob) the host MUST
-// persist before anything else touches the chain: an epoch seal routed
+// result carries a sealed record (or a snapshot) the host MUST persist
+// before anything else touches the chain: an epoch seal routed
 // through a non-persisting path would leave the enclave's chain head
 // ahead of the disk, and the next restart would halt on a phantom
 // rollback. Both the ticker below and the generic ecall paths therefore
 // funnel epoch seals through epochSealLocked.
 //
-// Churn frames (wire.FrameChurn) take the same inline-persist path: one
-// churn ecall per frame, behind the persistence barrier, with the sealed
-// membership change durable before the ack is released — the same
-// contract batches honour for replies.
+// Churn frames (wire.FrameChurn) take the same path: one churn ecall per
+// frame, behind the persistence barrier, committed through the committer
+// and durable before the ack is released — the same contract batches
+// honour for replies.
 
 // epochLoop drives one instance's membership epochs until the server
 // stops or the instance's enclave terminally leaves the serving state.
@@ -54,10 +54,11 @@ func (s *Server) epochLoop(inst *instance) {
 	}
 }
 
-// epochSealLocked performs the epoch-seal ecall and persists its sealed
-// output inline. The caller holds inst.pm with the committer flushed, so
-// the record chains directly onto the acknowledged history.
+// epochSealLocked performs the epoch-seal ecall and commits its sealed
+// output before returning. The caller holds inst.pm with the committer
+// flushed, so the record chains directly onto the acknowledged history.
 func (s *Server) epochSealLocked(inst *instance) ([]byte, error) {
+	epoch := inst.enclave.Epoch()
 	resp, err := inst.enclave.Call(core.EncodeEpochSealCall())
 	if err != nil {
 		return nil, err
@@ -66,7 +67,7 @@ func (s *Server) epochSealLocked(inst *instance) ([]byte, error) {
 	if err != nil {
 		return nil, errors.New("host: malformed epoch seal response")
 	}
-	if err := s.persistResultLocked(inst, result); err != nil {
+	if err := s.commitLocked(inst, result, epoch); err != nil {
 		return nil, fmt.Errorf("host: persist epoch seal: %w", err)
 	}
 	return resp, nil
@@ -79,9 +80,8 @@ func (s *Server) churnECall(inst *instance, msg []byte) ([]byte, error) {
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
 	s.healLocked(inst)
-	if inst.cm != nil {
-		inst.cm.flush(s.stop)
-	}
+	inst.cm.flush(s.stop)
+	epoch := inst.enclave.Epoch()
 	resp, err := inst.enclave.Call(core.EncodeChurnCall([][]byte{msg}))
 	if err != nil {
 		return nil, err
@@ -90,24 +90,8 @@ func (s *Server) churnECall(inst *instance, msg []byte) ([]byte, error) {
 	if err != nil || len(result.Replies) != 1 {
 		return nil, errors.New("host: malformed churn response")
 	}
-	if err := s.persistResultLocked(inst, result); err != nil {
+	if err := s.commitLocked(inst, result, epoch); err != nil {
 		return nil, fmt.Errorf("host: persist churn: %w", err)
 	}
 	return result.Replies[0], nil
-}
-
-// persistResultLocked makes an ecall's piggybacked persistence work
-// durable — a no-op when the result carries none (e.g. a pure-heartbeat
-// churn batch; storing its empty blob would destroy the state). Caller
-// holds inst.pm with the committer flushed.
-func (s *Server) persistResultLocked(inst *instance, result *core.BatchResult) error {
-	if len(result.DeltaRecord) == 0 && len(result.StateBlob) == 0 {
-		return nil
-	}
-	if err := s.persistBatchResult(inst, result); err != nil {
-		return err
-	}
-	s.advanceDurable(inst, result.Seq)
-	s.resyncBaseLocked(inst)
-	return nil
 }

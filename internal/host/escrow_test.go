@@ -14,8 +14,8 @@ import (
 )
 
 // bankStack deploys a sharded bank (the escrow service) over the store.
-func bankStack(t *testing.T, store stablestore.Store, shards int, ids []uint32, groupCommit bool) *shardStack {
-	return newServiceShardStack(t, store, shards, ids, groupCommit, "bank", counter.Factory())
+func bankStack(t *testing.T, store stablestore.Store, shards int, ids []uint32) *shardStack {
+	return newServiceShardStack(t, store, shards, ids, "bank", counter.Factory())
 }
 
 // bankRead fetches one account's balance through a sharded session.
@@ -65,7 +65,7 @@ func stopAfter(phase byte) func(*client.Transfer) error {
 // stay live.
 func TestCrossShardTransferCommits(t *testing.T) {
 	const shards = 4
-	st := bankStack(t, stablestore.NewMemStore(), shards, []uint32{1}, false)
+	st := bankStack(t, stablestore.NewMemStore(), shards, []uint32{1})
 	sess := st.sessionWith(1, counter.New())
 
 	from := keyOnShard(0, shards, "acct-src")
@@ -119,7 +119,7 @@ func TestCrossShardTransferCommits(t *testing.T) {
 func TestTransferSourceHaltAfterPrepare(t *testing.T) {
 	const shards = 2
 	store := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := bankStack(t, store, shards, []uint32{1}, false)
+	st := bankStack(t, store, shards, []uint32{1})
 	sess := st.sessionWith(1, counter.New())
 
 	from := keyOnShard(0, shards, "src")
@@ -178,7 +178,7 @@ func TestTransferSourceHaltAfterPrepare(t *testing.T) {
 func TestTransferTargetRollbackBeforeCredit(t *testing.T) {
 	const shards = 2
 	store := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := bankStack(t, store, shards, []uint32{1, 2}, false)
+	st := bankStack(t, store, shards, []uint32{1, 2})
 	sess := st.sessionWith(1, counter.New())
 
 	from := keyOnShard(0, shards, "src")
@@ -247,7 +247,7 @@ func TestTransferTargetRollbackBeforeCredit(t *testing.T) {
 // rejects it as a duplicate and the transfer completes without minting.
 func TestTransferDuplicateCreditReplay(t *testing.T) {
 	const shards = 2
-	st := bankStack(t, stablestore.NewMemStore(), shards, []uint32{1}, false)
+	st := bankStack(t, stablestore.NewMemStore(), shards, []uint32{1})
 	sess := st.sessionWith(1, counter.New())
 
 	from := keyOnShard(0, shards, "src")
@@ -309,7 +309,7 @@ func (c dropNextRecvConn) Recv() ([]byte, error) {
 // via the duplicate-credit rejection — conservation holds throughout.
 func TestAbortRefusedWhileCreditInFlight(t *testing.T) {
 	const shards = 2
-	st := bankStack(t, stablestore.NewMemStore(), shards, []uint32{1}, false)
+	st := bankStack(t, stablestore.NewMemStore(), shards, []uint32{1})
 
 	conn, err := st.net.Dial("srv")
 	if err != nil {
@@ -373,7 +373,7 @@ func TestAbortRefusedWhileCreditInFlight(t *testing.T) {
 // which the id-less atomic transfer op could not guarantee.
 func TestSameShardTransferResumable(t *testing.T) {
 	const shards = 2
-	st := bankStack(t, stablestore.NewMemStore(), shards, []uint32{1}, false)
+	st := bankStack(t, stablestore.NewMemStore(), shards, []uint32{1})
 	sess := st.sessionWith(1, counter.New())
 
 	from := keyOnShard(0, shards, "a")
@@ -432,7 +432,7 @@ func transferCrashFuzz(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	crash := stablestore.NewCrashStore(stablestore.NewMemStore())
 	ids := []uint32{1, 2, 3}
-	st := bankStack(t, crash, shards, ids, true)
+	st := bankStack(t, crash, shards, ids)
 
 	type fuzzClient struct {
 		sess  *client.ShardedSession

@@ -296,7 +296,7 @@ func shardCrashFuzz(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	crash := stablestore.NewCrashStore(stablestore.NewMemStore())
 	ids := []uint32{1, 2, 3}
-	st := newShardStack(t, crash, shards, ids, true)
+	st := newShardStack(t, crash, shards, ids)
 
 	type fuzzClient struct {
 		sess  *client.ShardedSession

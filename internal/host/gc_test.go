@@ -42,7 +42,7 @@ func TestReshardGCReclaimsRetiredGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []uint32{1, 2}
-	st := newReplicatedStack(t, store, oldShards, ids, true, 2, 2)
+	st := newReplicatedStack(t, store, oldShards, ids, 2, 2)
 
 	sessions := make(map[uint32]*client.ShardedSession)
 	for _, id := range ids {

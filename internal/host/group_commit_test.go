@@ -15,9 +15,16 @@ import (
 	"lcm/internal/transport"
 )
 
-// groupStack builds an LCM deployment with the group-commit committer
-// enabled over the given store, bootstrapped for nClients.
+// groupStack builds an LCM deployment over the given store, bootstrapped
+// for nClients.
 func groupStack(t *testing.T, store stablestore.Store, nClients int) (*Server, *core.Admin, *transport.InmemNetwork) {
+	t.Helper()
+	return groupStackWith(t, store, nClients, 0)
+}
+
+// groupStackWith is groupStack with a fixed compaction cadence
+// (core.TrustedConfig.CompactEvery; 0 keeps the adaptive policy).
+func groupStackWith(t *testing.T, store stablestore.Store, nClients, compactEvery int) (*Server, *core.Admin, *transport.InmemNetwork) {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-group")
@@ -28,13 +35,13 @@ func groupStack(t *testing.T, store stablestore.Store, nClients int) (*Server, *
 	server, err := New(Config{
 		Platform: platform,
 		Factory: core.NewTrustedFactory(core.TrustedConfig{
-			ServiceName: "kvs",
-			NewService:  kvs.Factory(),
-			Attestation: attestation,
+			ServiceName:  "kvs",
+			NewService:   kvs.Factory(),
+			Attestation:  attestation,
+			CompactEvery: compactEvery,
 		}),
-		Store:       store,
-		BatchSize:   1,
-		GroupCommit: true,
+		Store:     store,
+		BatchSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +253,8 @@ func TestGroupCommitAdminBarrier(t *testing.T) {
 
 	// Membership change mid-traffic: persists a fresh blob + truncation
 	// through the enclave, behind the committer flush barrier.
-	if err := admin.AddClient(server.ECall, 3); err != nil {
-		t.Fatalf("AddClient during traffic: %v", err)
+	if err := admin.Join(server.ECall, 3); err != nil {
+		t.Fatalf("Join during traffic: %v", err)
 	}
 	close(stopTraffic)
 	wg.Wait()
@@ -265,5 +272,116 @@ func TestGroupCommitAdminBarrier(t *testing.T) {
 	c3 := groupSession(t, net, admin, 3)
 	if _, err := c3.Do(kvs.Put("new", "client")); err != nil {
 		t.Fatalf("new member op: %v", err)
+	}
+}
+
+// countingStore counts the state-slot stores and log truncations that
+// reach the inner store. When hold is set, the next state-slot store
+// closes held and waits for hold to close — long enough for later results
+// to queue at the committer.
+type countingStore struct {
+	inner stablestore.Store
+
+	mu         sync.Mutex
+	stores     int
+	truncs     int
+	hold, held chan struct{}
+}
+
+func (s *countingStore) Store(slot string, blob []byte) error {
+	s.mu.Lock()
+	var hold chan struct{}
+	if slot == core.SlotStateBlob {
+		s.stores++
+		if s.hold != nil {
+			hold = s.hold
+			close(s.held)
+			s.hold, s.held = nil, nil
+		}
+	}
+	s.mu.Unlock()
+	if hold != nil {
+		<-hold
+	}
+	return s.inner.Store(slot, blob)
+}
+
+func (s *countingStore) TruncateLog(slot string) error {
+	s.mu.Lock()
+	s.truncs++
+	s.mu.Unlock()
+	return s.inner.TruncateLog(slot)
+}
+
+func (s *countingStore) Load(slot string) ([]byte, error)     { return s.inner.Load(slot) }
+func (s *countingStore) Append(slot string, rec []byte) error { return s.inner.Append(slot, rec) }
+func (s *countingStore) LoadLog(slot string) ([][]byte, error) {
+	return s.inner.LoadLog(slot)
+}
+func (s *countingStore) AppendGroup(slot string, recs [][]byte) error {
+	return s.inner.AppendGroup(slot, recs)
+}
+
+func (s *countingStore) counts() (stores, truncs int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stores, s.truncs
+}
+
+// Under CompactEvery 1 every batch result is a snapshot. Snapshots that
+// queue up behind a slow store commit as ONE store of the last blob (plus
+// one truncation): each later snapshot subsumes every earlier one.
+func TestGroupCommitSnapshotRunStoresOnce(t *testing.T) {
+	store := &countingStore{inner: stablestore.NewMemStore()}
+	const clients = 4
+	server, admin, net := groupStackWith(t, store, clients, 1)
+	sessions := make([]*client.Session, clients)
+	for id := uint32(1); id <= clients; id++ {
+		sessions[id-1] = groupSession(t, net, admin, id)
+	}
+	stores0, truncs0 := store.counts()
+
+	hold, held := make(chan struct{}), make(chan struct{})
+	store.mu.Lock()
+	store.hold, store.held = hold, held
+	store.mu.Unlock()
+	errs := make(chan error, clients)
+	put := func(id int) {
+		_, err := sessions[id-1].Do(kvs.Put(fmt.Sprintf("k%d", id), "v"))
+		errs <- err
+	}
+	// The first snapshot holds the committer inside Store...
+	go put(1)
+	<-held
+	// ...while three more batches execute and queue their snapshots.
+	for id := 2; id <= clients; id++ {
+		go put(id)
+	}
+	cm := server.instanceAt(0).cm
+	for deadline := time.Now().Add(5 * time.Second); len(cm.ch) < clients-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d snapshots queued behind the held store", len(cm.ch))
+		}
+	}
+	close(hold)
+	for i := 0; i < clients; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stores, truncs := store.counts()
+	if got := stores - stores0; got != 2 {
+		t.Fatalf("%d state-slot stores for %d snapshot results, want 2 (the held one + one for the queued run)", got, clients)
+	}
+	if got := truncs - truncs0; got != 2 {
+		t.Fatalf("%d log truncations, want 2 (one per committed run)", got)
+	}
+	// The last blob subsumes the run: a restart recovers every write.
+	if err := server.Enclave(0).Restart(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if st, err := core.QueryStatus(server.ECall); err != nil || st.Seq != clients {
+		t.Fatalf("recovered status = %+v, %v; want seq %d", st, err, clients)
 	}
 }

@@ -11,7 +11,7 @@ import "time"
 // group's persistence time, so that is the quantity the policy steers.
 const (
 	// DefaultCommitLatencyTarget is the commit-group latency target when
-	// Config.GroupCommit is on and Config.CommitLatencyTarget is 0.
+	// Config.CommitLatencyTarget is 0.
 	DefaultCommitLatencyTarget = 10 * time.Millisecond
 
 	// commitGroupFloor and commitGroupCeiling bound the adaptive cap.

@@ -70,3 +70,16 @@ func TestGroupPolicyDefaultTarget(t *testing.T) {
 		t.Fatalf("negative target = %v, want default", q.target)
 	}
 }
+
+// A target below one fsync is how the per-batch-fsync configuration is
+// expressed: every group overruns it, so the cap halves down to its floor
+// of one record per fsync and stays there.
+func TestGroupPolicySubFsyncTargetPinsCapToOne(t *testing.T) {
+	p := newGroupPolicy(time.Nanosecond)
+	for i := 0; i < 8; i++ {
+		p.observe(p.size(), 50*time.Microsecond)
+	}
+	if p.size() != commitGroupFloor || commitGroupFloor != 1 {
+		t.Fatalf("cap = %d (floor %d), want 1", p.size(), commitGroupFloor)
+	}
+}

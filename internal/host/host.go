@@ -17,8 +17,8 @@
 //   - its own storage namespace on the shared Store ("shard<i>/<slot>",
 //     via stablestore.Namespaced), so sealed blobs and delta logs never
 //     collide;
-//   - its own batch queue, persistence barrier and (under GroupCommit)
-//     group committer, so shards persist and fsync independently.
+//   - its own batch queue, persistence barrier and group committer, so
+//     shards persist and fsync independently.
 //
 // Routing is the client's job, not the host's: INVOKE ciphertexts are
 // opaque to the untrusted server, so the client computes the shard from
@@ -84,15 +84,7 @@ type Config struct {
 	// empty means the LCM default (core.SlotStateBlob). Baseline enclave
 	// programs that share this host use their own slot.
 	StateSlot string
-	// GroupCommit enables the pipelined group-commit committer for delta
-	// records: the batch loop hands each batch's persistence work to a
-	// per-enclave committer and immediately starts the next ecall; the
-	// committer coalesces every record that queued up during one fsync
-	// into a single AppendGroup call (the baseline.AOF.AppendGroup
-	// pattern, Sec. 6.4's Redis configuration). Replies are released only
-	// after the group's fsync, so crash tolerance is unchanged. Non-batch
-	// ecalls flush the committer first. Sharded deployments run one
-	// committer per enclave instance.
+	// Deprecated: ignored; group commit is the only persistence path.
 	GroupCommit bool
 	// Replicas adds enclave-to-enclave chain replication: every shard
 	// primary gets this many peer replica enclaves mirroring its sealed
@@ -121,7 +113,8 @@ type Config struct {
 	// CommitLatencyTarget bounds the extra reply latency group commit may
 	// add: the committer adaptively sizes commit groups (see groupPolicy)
 	// so that one group's persistence stays within this target. 0 selects
-	// DefaultCommitLatencyTarget. Only meaningful with GroupCommit.
+	// DefaultCommitLatencyTarget. A target below one fsync drives the cap
+	// to its floor of 1 — the paper's per-batch fsync.
 	CommitLatencyTarget time.Duration
 	// BeaconInterval arms the chain-heartbeat beacon (clone detection):
 	// every interval, each enclave instance commits a self-attesting
@@ -138,7 +131,8 @@ type Config struct {
 	// fencing the epoch number with the platform counter, batching staged
 	// and heartbeat-expired evictions behind one kC rotation, and
 	// resealing the witness-committee digests. The seal's sealed record
-	// persists inline behind the persistence barrier (see epoch.go).
+	// commits through the committer behind the persistence barrier (see
+	// epoch.go).
 	// 0 disables the ticker; epochs then advance only when an admin sends
 	// an explicit epoch-seal ecall.
 	EpochInterval time.Duration
@@ -214,10 +208,7 @@ func (c *Config) Validate() error {
 	if c.CommitLatencyTarget < 0 {
 		return fmt.Errorf("host: config: CommitLatencyTarget must be ≥ 0 (got %v)", c.CommitLatencyTarget)
 	}
-	if c.CommitLatencyTarget > 0 && !c.GroupCommit {
-		return fmt.Errorf("host: config: CommitLatencyTarget %v configured without GroupCommit", c.CommitLatencyTarget)
-	}
-	if c.GroupCommit && c.CommitLatencyTarget == 0 {
+	if c.CommitLatencyTarget == 0 {
 		c.CommitLatencyTarget = DefaultCommitLatencyTarget
 	}
 	if c.BeaconInterval < 0 {
@@ -303,16 +294,16 @@ func (c *connState) send(frame []byte) error {
 
 // instance is one enclave instance together with everything the host runs
 // for it: its private storage view, batch queue, persistence barrier and
-// (optional) group committer. Instances 0..shards-1 are the shard
-// primaries; later entries are fork instances mounted by AttackFork.
+// group committer. Instances 0..shards-1 are the shard primaries; later
+// entries are fork instances mounted by AttackFork.
 type instance struct {
 	enclave *tee.Enclave
 	store   stablestore.Store
 	shard   int // keyspace shard this instance serves
 	queue   chan request
 	readq   chan request // snapshot reads; nil when SnapshotReads is off
-	cm      *committer   // nil when GroupCommit is off
-	pm      *sync.Mutex  // serialize batch (ecall+persist) vs barrier ecalls
+	cm      *committer   // makes every ecall's sealed output durable
+	pm      *sync.Mutex  // serialize batch (ecall+enqueue) vs barrier ecalls
 
 	// Replication state (nil/zero when unreplicated or a fork instance):
 	// the shard's replica set, the enclave epoch the heal check last ran
@@ -491,8 +482,8 @@ func (s *Server) addInstance(shard int) (int, error) {
 }
 
 // newInstance assembles the host-side runtime state of one enclave
-// instance (queue, persistence barrier, optional committer) without
-// registering or starting it.
+// instance (queue, persistence barrier, committer) without registering or
+// starting it.
 func (s *Server) newInstance(enclave *tee.Enclave, store stablestore.Store, shard int, rs *replication.Set) *instance {
 	inst := &instance{
 		enclave: enclave,
@@ -502,13 +493,11 @@ func (s *Server) newInstance(enclave *tee.Enclave, store stablestore.Store, shar
 		pm:      &sync.Mutex{},
 		rs:      rs,
 	}
-	if s.cfg.GroupCommit {
-		inst.cm = &committer{
-			srv:    s,
-			inst:   inst,
-			ch:     make(chan commitReq, commitGroupCeiling),
-			policy: newGroupPolicy(s.cfg.CommitLatencyTarget),
-		}
+	inst.cm = &committer{
+		srv:    s,
+		inst:   inst,
+		ch:     make(chan commitReq, commitGroupCeiling),
+		policy: newGroupPolicy(s.cfg.CommitLatencyTarget),
 	}
 	if s.cfg.SnapshotReads {
 		inst.readq = make(chan request, 1024)
@@ -519,13 +508,11 @@ func (s *Server) newInstance(enclave *tee.Enclave, store stablestore.Store, shar
 // startInstance launches an instance's committer, batch loop and read
 // pool.
 func (s *Server) startInstance(inst *instance) {
-	if inst.cm != nil {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			inst.cm.run()
-		}()
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		inst.cm.run()
+	}()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -574,8 +561,6 @@ func (s *Server) instanceAt(idx int) *instance {
 // just-sealed delta record still queued at the committer, landing an
 // unchained record at the head of the truncated log; a later restart
 // would then discard acknowledged work and halt on a phantom rollback.
-// The same lock serializes the legacy inline (ecall, persist) pair for
-// the identical reason.
 func (s *Server) barrierECall(idx int, payload []byte) ([]byte, error) {
 	inst := s.instanceAt(idx)
 	if inst == nil {
@@ -592,9 +577,7 @@ func (s *Server) instanceBarrierECall(inst *instance, payload []byte) ([]byte, e
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
 	s.healLocked(inst)
-	if inst.cm != nil {
-		inst.cm.flush(s.stop)
-	}
+	inst.cm.flush(s.stop)
 	if core.IsEpochSealCall(payload) {
 		// An epoch seal's result carries a sealed record the host must
 		// persist — routing it through the plain path would leave the
@@ -911,9 +894,8 @@ func (s *Server) connLoop(cs *connState) {
 
 // batchLoop collects requests into batches (up to BatchSize, or fewer when
 // the queue momentarily empties — the Sec. 5.3 policy), performs the
-// ecall, persists the sealed state and distributes replies. With a group
-// committer attached, persistence and reply release are handed off so the
-// next ecall overlaps the previous batch's fsync.
+// ecall and hands the sealed state and the replies to the committer, so
+// the next ecall overlaps the previous batch's fsync.
 func (s *Server) batchLoop(inst *instance) {
 	for {
 		var batch []request
@@ -938,9 +920,9 @@ func (s *Server) batchLoop(inst *instance) {
 
 func (s *Server) processBatch(inst *instance, batch []request) {
 	// The persist lock pairs this ecall atomically with handing its
-	// sealed output to the persistence path (committer queue or inline
-	// store), so a barrier ecall can never slip in between and persist a
-	// chain-restarting blob ahead of an already-sealed record.
+	// sealed output to the committer, so a barrier ecall can never slip in
+	// between and persist a chain-restarting blob ahead of an
+	// already-sealed record.
 	inst.pm.Lock()
 	defer inst.pm.Unlock()
 	// First call of a new enclave epoch: heal a stale chain from the
@@ -971,122 +953,68 @@ func (s *Server) processBatch(inst *instance, batch []request) {
 		}
 		return
 	}
-	if inst.cm != nil {
-		if inst.enclave.Epoch() != epoch {
-			// A committer-initiated restart raced this ecall, so the
-			// epoch tag may not match the epoch that sealed the record.
-			// Fail the batch and restart once more: the chain re-folds
-			// from disk and the clients converge via retries.
-			_ = inst.enclave.Restart()
-			for _, req := range batch {
-				req.respond(wire.ErrorFrame(errors.New("host: enclave restarted during batch; retry")))
-			}
-			return
-		}
-		select {
-		case inst.cm.ch <- commitReq{batch: batch, result: result, epoch: epoch}:
-		case <-s.stop:
-		}
-		return
-	}
-	// Persist the piggybacked sealed state before releasing replies, so a
-	// crash after a client saw its reply cannot lose the corresponding
-	// state (crash tolerance, Sec. 4.6.1 / Sec. 5.3). In delta mode the
-	// enclave hands us a log record to append instead of a full blob; at
-	// compaction points it hands a fresh blob plus the instruction to
-	// truncate the now-subsumed log.
-	if err := s.persistBatchResult(inst, result); err != nil {
-		for _, req := range batch {
-			req.respond(wire.ErrorFrame(fmt.Errorf("host: persist state: %w", err)))
-		}
-		return
-	}
-	s.advanceDurable(inst, result.Seq)
-	for i, req := range batch {
-		req.respond(wire.OKFrame(result.Replies[i]))
-	}
-}
-
-// persistBatchResult performs the persistence work a batch response
-// piggybacks (the honest-host protocol) against the instance's storage
-// namespace.
-func (s *Server) persistBatchResult(inst *instance, result *core.BatchResult) error {
-	if len(result.DeltaRecord) > 0 {
-		// Overlap peer replication with the local append (see the
-		// committer's delta path for the durability argument).
-		var repErr chan error
-		if inst.rs != nil {
-			repErr = make(chan error, 1)
-			go func() { repErr <- inst.rs.ReplicateGroup([][]byte{result.DeltaRecord}) }()
-		}
-		if err := inst.store.Append(core.SlotDeltaLog, result.DeltaRecord); err != nil {
-			if repErr != nil {
-				<-repErr
-			}
-			// The enclave's chain already advanced past the record we
-			// failed to persist; appending later records would leave a
-			// permanent gap on disk. Treat the lost write exactly like a
-			// crash: restart the enclave so it re-folds the consistent
-			// on-disk log, and let the affected clients converge through
-			// the Sec. 4.6.1 retry protocol. (The plain full-seal path
-			// below self-heals instead: the next batch rewrites the
-			// whole blob.)
-			if rerr := inst.enclave.Restart(); rerr != nil {
-				return fmt.Errorf("%w (enclave restart: %v)", err, rerr)
-			}
-			return err
-		}
-		if repErr != nil {
-			// A quorum shortfall is NOT a crash: the record is locally
-			// durable and chain-consistent, so the enclave keeps running
-			// and the affected clients converge through cached-reply
-			// retries once enough peers are reachable again.
-			if err := <-repErr; err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := inst.store.Store(s.cfg.StateSlot, result.StateBlob); err != nil {
-		if result.Compact {
-			// A lost compaction blob desynchronizes the chain the same
-			// way a lost append does (the enclave already rechained at
-			// the new blob): restart so the chain re-folds from disk.
-			if rerr := inst.enclave.Restart(); rerr != nil {
-				return fmt.Errorf("%w (enclave restart: %v)", err, rerr)
-			}
-		}
-		return err
-	}
-	if inst.rs != nil {
-		// A fresh (or compacting) blob starts a new chain segment: the
-		// peer mirrors of the subsumed records are obsolete, re-anchor
-		// the set on the blob.
-		inst.rs.ResetBase(sha256.Sum256(result.StateBlob))
-	}
-	if result.Compact {
-		return inst.store.TruncateLog(core.SlotDeltaLog)
-	}
-	return nil
+	s.enqueueLocked(inst, commitReq{batch: batch, result: result, epoch: epoch})
 }
 
 // ---- Group commit ----
 
-// commitReq is one batch's persistence work queued at a committer, or —
-// when done is non-nil — a flush barrier.
+// commitReq is one ecall's persistence work queued at a committer — the
+// result with the replies it releases, tagged with the enclave epoch
+// that sealed it — or, when result is nil, a flush barrier. done, when
+// set, receives the outcome once the work is durable (or rejected).
 type commitReq struct {
 	batch  []request
 	result *core.BatchResult
-	epoch  uint64 // enclave epoch that sealed the result
-	done   chan struct{}
+	epoch  uint64
+	done   chan error
 }
 
-// committer drains batch results from one enclave's batch loop and makes
-// them durable: consecutive delta records are appended as one group under
-// a single fsync (Store.AppendGroup), consecutive full-seal blobs
-// collapse to one store of the last (subsuming) blob, and compaction
-// blobs act as barriers. Replies are released only after the covering
-// write returns, and any persistence failure is treated as a crash — the
+var (
+	errStaleEpoch      = errors.New("host: batch result discarded after enclave restart; retry")
+	errRestartedDuring = errors.New("host: enclave restarted during ecall; retry")
+	errServerStopped   = errors.New("host: server stopped")
+)
+
+// enqueueLocked hands one ecall's sealed output to the instance's
+// committer, the path every sealed result takes to disk. The caller
+// holds inst.pm and read req.epoch before the ecall.
+func (s *Server) enqueueLocked(inst *instance, req commitReq) {
+	if inst.enclave.Epoch() != req.epoch {
+		// A committer-initiated restart raced this ecall, so the epoch tag
+		// may not match the epoch that sealed the record. Fail the work
+		// and restart once more: the chain re-folds from disk and the
+		// clients converge via retries.
+		_ = inst.enclave.Restart()
+		inst.cm.reject(req, errRestartedDuring)
+		return
+	}
+	select {
+	case inst.cm.ch <- req:
+	case <-s.stop:
+	}
+}
+
+// commitLocked enqueues one barrier-path result (an epoch seal or churn
+// ecall made behind the persistence barrier) and waits until the
+// committer has made it durable, returning the write's error. The caller
+// holds inst.pm.
+func (s *Server) commitLocked(inst *instance, result *core.BatchResult, epoch uint64) error {
+	done := make(chan error, 1)
+	s.enqueueLocked(inst, commitReq{result: result, epoch: epoch, done: done})
+	select {
+	case err := <-done:
+		return err
+	case <-s.stop:
+		return errServerStopped
+	}
+}
+
+// committer drains ecall results from one enclave instance and makes them
+// durable: consecutive delta records are appended as one group under a
+// single fsync (Store.AppendGroup), and consecutive snapshots collapse to
+// one store of the last (subsuming) blob, truncating the log when the run
+// holds a compaction. Replies are released only after the covering write
+// returns, and any persistence failure is treated as a crash — the
 // enclave restarts, queued results from the failed epoch are discarded,
 // and clients converge via retries.
 type committer struct {
@@ -1129,7 +1057,7 @@ func (c *committer) run() {
 // flush blocks until every result queued before it is durable (or the
 // server stops).
 func (c *committer) flush(stop <-chan struct{}) {
-	done := make(chan struct{})
+	done := make(chan error, 1)
 	select {
 	case c.ch <- commitReq{done: done}:
 	case <-stop:
@@ -1141,104 +1069,110 @@ func (c *committer) flush(stop <-chan struct{}) {
 	}
 }
 
+// process commits the drained requests in order, one run at a time: a
+// run is a maximal stretch of live results of the same kind — delta
+// records, or snapshots.
 func (c *committer) process(pending []commitReq) {
-	i := 0
-	for i < len(pending) {
+	for i := 0; i < len(pending); {
 		req := pending[i]
 		switch {
-		case req.done != nil:
-			close(req.done)
+		case req.result == nil:
+			req.finish(nil) // flush barrier
 			i++
 		case req.epoch <= c.failEpoch:
 			// Sealed before the restart that followed a failed write; the
 			// record is no longer part of the live chain.
 			c.reject(req, errStaleEpoch)
 			i++
-		case len(req.result.DeltaRecord) > 0:
-			// Group every consecutive delta record under one fsync.
-			j := i
-			var records [][]byte
-			for j < len(pending) && pending[j].done == nil &&
-				pending[j].epoch > c.failEpoch && len(pending[j].result.DeltaRecord) > 0 {
-				records = append(records, pending[j].result.DeltaRecord)
-				j++
-			}
-			// Peer replication overlaps the local fsync: both must hold
-			// before any reply is released, so durability at release time
-			// is unchanged, but the group costs max(fsync, quorum) instead
-			// of their sum. If the local append is lost while the peers
-			// took the group, the restarted enclave heals the suffix back
-			// from them — peers running ahead is exactly the recoverable
-			// direction.
-			start := time.Now()
-			repErr := c.replicateAsync(records)
-			if err := c.inst.store.AppendGroup(core.SlotDeltaLog, records); err != nil {
-				<-repErr
-				c.fail(pending[i:j], err)
-			} else if err := <-repErr; err != nil {
-				// Quorum shortfall: locally durable and chain-consistent,
-				// so no restart — reject the replies and let the clients
-				// converge via cached-reply retries. The durable prefix
-				// is NOT advanced: a reader must not see state whose
-				// replies the quorum never covered.
-				c.recordGroup(len(records), time.Since(start))
-				for _, r := range pending[i:j] {
-					c.reject(r, err)
-				}
-			} else {
-				c.recordGroup(len(records), time.Since(start))
-				// Confirm durability to the enclave before any reply in
-				// the group is released: read-your-writes (see read.go).
-				c.srv.advanceDurable(c.inst, pending[j-1].result.Seq)
-				c.confirmBeacons(pending[i:j])
-				for _, r := range pending[i:j] {
-					c.release(r)
-				}
-			}
-			i = j
-		case !req.result.Compact:
-			// Full-seal blobs: each later blob subsumes every earlier
-			// one's effects, so a consecutive run commits as a single
-			// store of the last blob — full-seal services group-commit
-			// too, just through overwrite instead of append.
-			j := i
-			for j < len(pending) && pending[j].done == nil && pending[j].epoch > c.failEpoch &&
-				len(pending[j].result.DeltaRecord) == 0 && !pending[j].result.Compact {
-				j++
-			}
-			start := time.Now()
-			if err := c.inst.store.Store(c.srv.cfg.StateSlot, pending[j-1].result.StateBlob); err != nil {
-				c.fail(pending[i:j], err)
-			} else {
-				c.rebase(pending[j-1].result.StateBlob)
-				c.recordGroup(j-i, time.Since(start))
-				c.srv.advanceDurable(c.inst, pending[j-1].result.Seq)
-				c.confirmBeacons(pending[i:j])
-				for _, r := range pending[i:j] {
-					c.release(r)
-				}
-			}
-			i = j
-		default:
-			// A compaction blob: a barrier write plus log truncation.
-			err := c.inst.store.Store(c.srv.cfg.StateSlot, req.result.StateBlob)
-			if err == nil {
-				err = c.inst.store.TruncateLog(core.SlotDeltaLog)
-			}
-			if err != nil {
-				c.fail(pending[i:i+1], err)
-			} else {
-				c.rebase(req.result.StateBlob)
-				c.srv.advanceDurable(c.inst, req.result.Seq)
-				c.confirmBeacons(pending[i : i+1])
-				c.release(req)
-			}
+		case len(req.result.DeltaRecord) == 0 && len(req.result.StateBlob) == 0:
+			// Nothing to persist (a pure-heartbeat churn call): storing
+			// its empty blob would destroy the state.
+			c.release(req)
 			i++
+		default:
+			j := i + 1
+			for j < len(pending) && c.sameRun(req, pending[j]) {
+				j++
+			}
+			c.commit(pending[i:j])
+			i = j
 		}
 	}
 }
 
-var errStaleEpoch = errors.New("host: batch result discarded after enclave restart; retry")
+// sameRun reports whether next joins the run that first opened.
+func (c *committer) sameRun(first, next commitReq) bool {
+	if next.result == nil || next.epoch <= c.failEpoch {
+		return false
+	}
+	delta := len(next.result.DeltaRecord) > 0
+	return delta == (len(first.result.DeltaRecord) > 0) && (delta || len(next.result.StateBlob) > 0)
+}
+
+// commit makes one run durable — the single place that decides append vs.
+// store vs. truncate — then replicates, advances the durable prefix,
+// confirms beacons and releases the run's replies.
+func (c *committer) commit(run []commitReq) {
+	last := run[len(run)-1].result
+	start := time.Now()
+	var quorumErr error
+	if len(last.DeltaRecord) > 0 {
+		records := make([][]byte, len(run))
+		for k, r := range run {
+			records[k] = r.result.DeltaRecord
+		}
+		// Peer replication overlaps the local fsync: both must hold
+		// before any reply is released, so durability at release time is
+		// unchanged, but the group costs max(fsync, quorum) instead of
+		// their sum. If the local append is lost while the peers took the
+		// group, the restarted enclave heals the suffix back from them —
+		// peers running ahead is exactly the recoverable direction.
+		repErr := c.replicateAsync(records)
+		if err := c.inst.store.AppendGroup(core.SlotDeltaLog, records); err != nil {
+			<-repErr
+			c.fail(run, err)
+			return
+		}
+		quorumErr = <-repErr
+		c.recordGroup(len(run), time.Since(start))
+	} else {
+		// Each later snapshot subsumes every earlier one's effects, so the
+		// run commits as a single store of the last blob; a compaction in
+		// the run also subsumes the delta log.
+		compact := false
+		for _, r := range run {
+			compact = compact || r.result.Compact
+		}
+		err := c.inst.store.Store(c.srv.cfg.StateSlot, last.StateBlob)
+		if err == nil && compact {
+			err = c.inst.store.TruncateLog(core.SlotDeltaLog)
+		}
+		if err != nil {
+			c.fail(run, err)
+			return
+		}
+		c.rebase(last.StateBlob)
+		c.recordGroup(len(run), time.Since(start))
+	}
+	if quorumErr != nil {
+		// Quorum shortfall: locally durable and chain-consistent, so no
+		// restart — reject the replies and let the clients converge via
+		// cached-reply retries. The durable prefix is NOT advanced: a
+		// reader must not see state whose replies the quorum never
+		// covered.
+		for _, r := range run {
+			c.reject(r, quorumErr)
+		}
+		return
+	}
+	// Confirm durability to the enclave before any reply in the group is
+	// released: read-your-writes (see read.go).
+	c.srv.advanceDurable(c.inst, last.Seq)
+	c.confirmBeacons(run)
+	for _, r := range run {
+		c.release(r)
+	}
+}
 
 // fail handles a lost write: every batch in the failed group gets an
 // error, the enclave restarts so its chain re-folds from the on-disk log,
@@ -1269,7 +1203,7 @@ func (c *committer) replicateAsync(records [][]byte) <-chan error {
 }
 
 // rebase re-anchors the replica set on a freshly stored state blob (a
-// compaction or full-seal write subsumes the mirrored delta records).
+// snapshot subsumes the mirrored delta records).
 func (c *committer) rebase(blob []byte) {
 	if c.inst.rs != nil {
 		c.inst.rs.ResetBase(sha256.Sum256(blob))
@@ -1280,11 +1214,20 @@ func (c *committer) release(req commitReq) {
 	for i, r := range req.batch {
 		r.respond(wire.OKFrame(req.result.Replies[i]))
 	}
+	req.finish(nil)
 }
 
 func (c *committer) reject(req commitReq, err error) {
 	for _, r := range req.batch {
 		r.respond(wire.ErrorFrame(err))
+	}
+	req.finish(err)
+}
+
+// finish reports the request's outcome to a waiting barrier caller.
+func (req commitReq) finish(err error) {
+	if req.done != nil {
+		req.done <- err
 	}
 }
 
@@ -1321,42 +1264,31 @@ func (c *committer) capNow() int {
 
 // GroupCommitStats reports the deployment-wide group-commit activity,
 // summed over every enclave instance's committer: commit groups written,
-// batch results they covered, and the largest single group. Zeros when
-// group commit is disabled.
+// batch results they covered, and the largest single group.
 func (s *Server) GroupCommitStats() (groups, records, maxGroup int) {
-	s.mu.Lock()
-	insts := append([]*instance(nil), s.instances...)
-	s.mu.Unlock()
-	for _, inst := range insts {
-		if inst.cm == nil {
-			continue
-		}
-		g, r, m := inst.cm.stats()
-		groups += g
-		records += r
-		if m > maxGroup {
-			maxGroup = m
-		}
-	}
-	return groups, records, maxGroup
+	return s.groupCommitStats(-1)
 }
 
 // ShardGroupCommitStats reports the group-commit activity of every
 // instance serving one shard (the primary plus any forks).
 func (s *Server) ShardGroupCommitStats(shard int) (groups, records, maxGroup int) {
+	return s.groupCommitStats(shard)
+}
+
+// groupCommitStats sums the committers of one shard's instances, or of
+// every instance when shard is negative.
+func (s *Server) groupCommitStats(shard int) (groups, records, maxGroup int) {
 	s.mu.Lock()
 	insts := append([]*instance(nil), s.instances...)
 	s.mu.Unlock()
 	for _, inst := range insts {
-		if inst.shard != shard || inst.cm == nil {
+		if shard >= 0 && inst.shard != shard {
 			continue
 		}
 		g, r, m := inst.cm.stats()
 		groups += g
 		records += r
-		if m > maxGroup {
-			maxGroup = m
-		}
+		maxGroup = max(maxGroup, m)
 	}
 	return groups, records, maxGroup
 }
@@ -1419,9 +1351,7 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 	for _, inst := range instances {
 		inst.pm.Lock()
-		if inst.cm != nil {
-			inst.cm.flush(s.stop)
-		}
+		inst.cm.flush(s.stop)
 		inst.pm.Unlock()
 	}
 }
@@ -1450,10 +1380,10 @@ func (s *Server) Shutdown() {
 
 // AttackRollback restarts the given shard's primary enclave after
 // instructing the rollback store to serve that shard's state from n
-// persisted writes ago. Under delta-log persistence the per-batch writes
-// are log appends, so the attack truncates the last n delta records; with
-// full-state sealing (or when the log is too short) it falls back to
-// pinning a stale state-blob version. It requires the configured Store to
+// persisted writes ago. The per-batch writes are log appends, so the
+// attack truncates the last n delta records; when the log is too short
+// (a snapshot every batch, CompactEvery 1) it falls back to pinning a
+// stale state-blob version. It requires the configured Store to
 // be a *stablestore.RollbackStore. Only the attacked shard is affected —
 // the other shards' chains stay live, which is exactly the locality the
 // per-shard detection tests assert.
@@ -1535,9 +1465,7 @@ func (s *Server) AttackClone(shard int) (int, error) {
 	if err := func() error {
 		src.pm.Lock()
 		defer src.pm.Unlock()
-		if src.cm != nil {
-			src.cm.flush(s.stop)
-		}
+		src.cm.flush(s.stop)
 		keyBlob, err := src.store.Load(core.SlotKeyBlob)
 		if err != nil {
 			return fmt.Errorf("host: clone attack: source key blob: %w", err)

@@ -26,7 +26,7 @@ type readStack struct {
 	listener transport.Listener
 }
 
-func newReadStack(t *testing.T, clientIDs []uint32, batch int, groupCommit bool) *readStack {
+func newReadStack(t *testing.T, clientIDs []uint32, batch int) *readStack {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-read")
@@ -45,7 +45,6 @@ func newReadStack(t *testing.T, clientIDs []uint32, batch int, groupCommit bool)
 		Factory:       factory,
 		Store:         storage,
 		BatchSize:     batch,
-		GroupCommit:   groupCommit,
 		SnapshotReads: true,
 	})
 	if err != nil {
@@ -84,7 +83,7 @@ func (s *readStack) session(id uint32) *client.Session {
 }
 
 func TestSnapshotReadBasic(t *testing.T) {
-	s := newReadStack(t, []uint32{1}, 1, false)
+	s := newReadStack(t, []uint32{1}, 1)
 	c := s.session(1)
 
 	wres, err := c.Do(kvs.Put("k", "v1"))
@@ -131,7 +130,7 @@ func TestSnapshotReadBasic(t *testing.T) {
 // the same service-level result through DoRead (concurrent read pool,
 // durable snapshot) as through Do (serialized writer loop).
 func TestSnapshotReadMatchesSerialized(t *testing.T) {
-	s := newReadStack(t, []uint32{1}, 4, true)
+	s := newReadStack(t, []uint32{1}, 4)
 	c := s.session(1)
 
 	for i := 0; i < 40; i++ {
@@ -177,7 +176,7 @@ func TestSnapshotReadStress(t *testing.T) {
 		rounds  = 120
 	)
 	ids := []uint32{1, 2, 3, 4, 5, 6}
-	s := newReadStack(t, ids, 8, true)
+	s := newReadStack(t, ids, 8)
 
 	// lastAck[w] is writer w's most recently acknowledged value number.
 	var lastAck [writers]int64
@@ -293,7 +292,7 @@ func TestSnapshotReadStress(t *testing.T) {
 // backstop: a state-changing op smuggled down the read path must halt the
 // enclave, not execute.
 func TestSnapshotReadWriteOpHalts(t *testing.T) {
-	s := newReadStack(t, []uint32{1}, 1, false)
+	s := newReadStack(t, []uint32{1}, 1)
 	c := s.session(1)
 	if _, err := c.Do(kvs.Put("k", "v")); err != nil {
 		t.Fatalf("Put: %v", err)

@@ -20,7 +20,7 @@ import (
 func TestTransferStrandedEscrowRecoveredAndResolved(t *testing.T) {
 	const shards = 2
 	store := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := bankStack(t, store, shards, []uint32{1}, false)
+	st := bankStack(t, store, shards, []uint32{1})
 	sess := st.sessionWith(1, counter.New())
 
 	from := keyOnShard(0, shards, "src")

@@ -97,9 +97,7 @@ func (s *Server) healLocked(inst *instance) {
 	// Results sealed before the restart may still sit at the committer;
 	// make them durable (and replicated) first so the peers' view covers
 	// every released reply before we compare chains.
-	if inst.cm != nil {
-		inst.cm.flush(s.stop)
-	}
+	inst.cm.flush(s.stop)
 	inst.healedEpoch = epoch
 	probe, err := s.chainSync(inst, nil)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // newReplicatedStack is newShardStack plus a replica set per shard.
-func newReplicatedStack(t *testing.T, store stablestore.Store, shards int, clientIDs []uint32, groupCommit bool, replicas, quorum int) *shardStack {
+func newReplicatedStack(t *testing.T, store stablestore.Store, shards int, clientIDs []uint32, replicas, quorum int) *shardStack {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-repl")
@@ -32,12 +32,11 @@ func newReplicatedStack(t *testing.T, store stablestore.Store, shards int, clien
 			NewService:  kvs.Factory(),
 			Attestation: attestation,
 		}),
-		Store:       store,
-		Shards:      shards,
-		BatchSize:   4,
-		GroupCommit: groupCommit,
-		Replicas:    replicas,
-		Quorum:      quorum,
+		Store:     store,
+		Shards:    shards,
+		BatchSize: 4,
+		Replicas:  replicas,
+		Quorum:    quorum,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +69,7 @@ func newReplicatedStack(t *testing.T, store stablestore.Store, shards int, clien
 // lost, and the clients never see a violation.
 func TestShardRollbackHealed(t *testing.T) {
 	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := newReplicatedStack(t, storage, 1, []uint32{1}, true, 2, 2)
+	st := newReplicatedStack(t, storage, 1, []uint32{1}, 2, 2)
 	sess := st.session(1)
 
 	for i := 1; i <= 4; i++ {
@@ -136,7 +135,7 @@ func TestShardRollbackHealed(t *testing.T) {
 // exactly the paper's halt, never silent data loss.
 func TestShardRollbackAllReplicasHalts(t *testing.T) {
 	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := newReplicatedStack(t, storage, 1, []uint32{1}, true, 2, 2)
+	st := newReplicatedStack(t, storage, 1, []uint32{1}, 2, 2)
 	sess := st.session(1)
 
 	for i := 1; i <= 4; i++ {
@@ -168,7 +167,7 @@ func TestShardRollbackAllReplicasHalts(t *testing.T) {
 // duplicate record in the rewritten log.
 func TestTornReplicationLocalLossHeals(t *testing.T) {
 	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := newReplicatedStack(t, storage, 1, []uint32{1}, true, 2, 2)
+	st := newReplicatedStack(t, storage, 1, []uint32{1}, 2, 2)
 	sess := st.session(1)
 
 	for i := 1; i <= 3; i++ {
@@ -214,7 +213,7 @@ func TestTornReplicationLocalLossHeals(t *testing.T) {
 // converges without the enclave ever observing a discontinuity.
 func TestTornReplicationPeerLossResyncs(t *testing.T) {
 	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := newReplicatedStack(t, storage, 1, []uint32{1}, true, 2, 2)
+	st := newReplicatedStack(t, storage, 1, []uint32{1}, 2, 2)
 	sess := st.session(1)
 
 	for i := 1; i <= 3; i++ {
@@ -294,7 +293,7 @@ func replicaCrashFuzz(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	storage := stablestore.NewRollbackStore(stablestore.NewMemStore())
 	ids := []uint32{1, 2, 3}
-	st := newReplicatedStack(t, storage, shards, ids, true, replicas, 2)
+	st := newReplicatedStack(t, storage, shards, ids, replicas, 2)
 
 	type fuzzClient struct {
 		sess  *client.ShardedSession

@@ -55,7 +55,7 @@ func TestLiveReshardGrowUnderTraffic(t *testing.T) {
 		keysPerClient = 5
 	)
 	ids := []uint32{1, 2, 3}
-	st := newShardStack(t, stablestore.NewMemStore(), oldShards, ids, true)
+	st := newShardStack(t, stablestore.NewMemStore(), oldShards, ids)
 
 	log := consistency.NewLog()
 	var (
@@ -209,7 +209,7 @@ func TestLiveReshardGrowUnderTraffic(t *testing.T) {
 // fragments and no key is lost.
 func TestReshardShrinkMergesState(t *testing.T) {
 	ids := []uint32{1}
-	st := newShardStack(t, stablestore.NewMemStore(), 4, ids, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 4, ids)
 	sess := st.session(1)
 
 	written := map[string]string{}
@@ -251,7 +251,7 @@ func TestReshardShrinkMergesState(t *testing.T) {
 // storage layout) into a sharded one exercises the namespace re-mapping.
 func TestReshardSingleShardGrows(t *testing.T) {
 	ids := []uint32{1}
-	st := newShardStack(t, stablestore.NewMemStore(), 1, ids, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 1, ids)
 	sess := st.session(1)
 	for i := 0; i < 6; i++ {
 		if _, err := sess.Do(kvs.Put(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))); err != nil {
@@ -285,7 +285,7 @@ func TestReshardSingleShardGrows(t *testing.T) {
 func TestReshardRollbackDuringMoveDetected(t *testing.T) {
 	const victim = 1
 	store := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := newShardStack(t, store, 2, []uint32{1}, false)
+	st := newShardStack(t, store, 2, []uint32{1})
 	sess := st.session(1)
 
 	victimKey := keyOnShard(victim, 2, "doc")
@@ -324,7 +324,7 @@ func TestReshardForkDuringMoveDetected(t *testing.T) {
 	const victim = 1
 	store := stablestore.NewRollbackStore(stablestore.NewMemStore())
 	ids := []uint32{1, 2}
-	st := newShardStack(t, store, 2, ids, false)
+	st := newShardStack(t, store, 2, ids)
 
 	victimKey := keyOnShard(victim, 2, "doc")
 	honest := st.session(1)
@@ -380,7 +380,7 @@ func TestReshardForkDuringMoveDetected(t *testing.T) {
 // and money is conserved.
 func TestReshardEscrowTransferResumes(t *testing.T) {
 	ids := []uint32{1}
-	st := newServiceShardStack(t, stablestore.NewMemStore(), 2, ids, false, "bank", counter.Factory())
+	st := newServiceShardStack(t, stablestore.NewMemStore(), 2, ids, "bank", counter.Factory())
 	sess := st.sessionWith(1, counter.New())
 
 	from := keyOnShard(0, 2, "acct-src")
@@ -450,7 +450,7 @@ func TestReshardEscrowTransferResumes(t *testing.T) {
 // each boundary verifies with the keys adopted at the previous one.
 func TestReshardClientWalksMultipleGenerations(t *testing.T) {
 	ids := []uint32{1, 2}
-	st := newShardStack(t, stablestore.NewMemStore(), 2, ids, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 2, ids)
 
 	sleeper := st.session(1)
 	if _, err := sleeper.Do(kvs.Put("snooze", "v0")); err != nil {
@@ -509,7 +509,7 @@ func TestReshardClientWalksMultipleGenerations(t *testing.T) {
 // adoption), and a retry succeeds once the storage recovers.
 func TestReshardAbortResumesOldGeneration(t *testing.T) {
 	store := stablestore.NewCrashStore(stablestore.NewMemStore())
-	st := newShardStack(t, store, 2, []uint32{1}, false)
+	st := newShardStack(t, store, 2, []uint32{1})
 	sess := st.session(1)
 	if _, err := sess.Do(kvs.Put("k", "v1")); err != nil {
 		t.Fatal(err)
@@ -552,7 +552,7 @@ func TestReshardAbortResumesOldGeneration(t *testing.T) {
 // Guard rails: a no-op reshard is rejected without freezing anything,
 // and the info endpoint reports the absence of a reshard.
 func TestReshardRejectsNoopAndServesNoInfo(t *testing.T) {
-	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1}, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1})
 	sess := st.session(1)
 
 	if _, err := st.server.Reshard(2); err == nil || !strings.Contains(err.Error(), "already has") {
@@ -574,7 +574,7 @@ func TestReshardRejectsNoopAndServesNoInfo(t *testing.T) {
 // with the keys only the handoff could have carried.
 func TestReshardAdminContinuity(t *testing.T) {
 	const newShards = 4
-	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1}, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1})
 	sess := st.session(1)
 	if _, err := sess.Do(kvs.Put("carried", "v1")); err != nil {
 		t.Fatal(err)
@@ -613,8 +613,8 @@ func TestReshardAdminContinuity(t *testing.T) {
 	// Membership changes keep working: each adopted admin admits client 2
 	// on its shard of the new generation.
 	for j, adm := range admins {
-		if err := adm.AddClient(st.server.ShardCall(j), 2); err != nil {
-			t.Fatalf("AddClient on new shard %d: %v", j, err)
+		if err := adm.Join(st.server.ShardCall(j), 2); err != nil {
+			t.Fatalf("Join on new shard %d: %v", j, err)
 		}
 	}
 
@@ -650,7 +650,7 @@ func TestReshardAdminContinuity(t *testing.T) {
 // generation's keys: the channel blob authenticates under kP, which the
 // host does not hold, so BEGIN refuses and the reshard aborts cleanly.
 func TestReshardForgedAdminChannelRefused(t *testing.T) {
-	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1}, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1})
 	sess := st.session(1)
 	if _, err := sess.Do(kvs.Put("k", "v")); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func recordShardEvent(log *consistency.Log, sess *client.ShardedSession, shard i
 func TestScatterScanEightShardsSorted(t *testing.T) {
 	const shards = 8
 	ids := []uint32{1, 2}
-	st := newShardStack(t, stablestore.NewMemStore(), shards, ids, false)
+	st := newShardStack(t, stablestore.NewMemStore(), shards, ids)
 	log := consistency.NewLog()
 
 	writer := st.session(1)
@@ -141,7 +141,7 @@ func TestScanFailsOnForkedShardMidScan(t *testing.T) {
 	const shards = 8
 	const victim = 3
 	ids := []uint32{1, 2, 3}
-	st := newShardStack(t, stablestore.NewMemStore(), shards, ids, false)
+	st := newShardStack(t, stablestore.NewMemStore(), shards, ids)
 	log := consistency.NewLog()
 
 	record := func(sess *client.ShardedSession, shard int, op []byte, res *core.Result) {
@@ -237,7 +237,7 @@ func TestScanFailsOnForkedShardMidScan(t *testing.T) {
 // A scan against a single-shard "sharded" deployment degenerates to one
 // verified op — the scatter path must not special-case N=1 incorrectly.
 func TestScatterScanSingleShard(t *testing.T) {
-	st := newShardStack(t, stablestore.NewMemStore(), 1, []uint32{1}, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 1, []uint32{1})
 	s := st.session(1)
 	if _, err := s.Do(kvs.Put("p/k", "v")); err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestScatterScanSingleShard(t *testing.T) {
 // The sharded session rejects scatter attempts that make no sense —
 // non-scan ops through Scan, scans through Do.
 func TestScatterScanMisuse(t *testing.T) {
-	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1}, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1})
 	s := st.session(1)
 	if _, err := s.Scan(kvs.Put("k", "v")); err == nil {
 		t.Fatal("Scan accepted a non-scan op")

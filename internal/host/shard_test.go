@@ -30,13 +30,13 @@ type shardStack struct {
 	keys   []aead.Key
 }
 
-func newShardStack(t *testing.T, store stablestore.Store, shards int, clientIDs []uint32, groupCommit bool) *shardStack {
-	return newServiceShardStack(t, store, shards, clientIDs, groupCommit, "kvs", kvs.Factory())
+func newShardStack(t *testing.T, store stablestore.Store, shards int, clientIDs []uint32) *shardStack {
+	return newServiceShardStack(t, store, shards, clientIDs, "kvs", kvs.Factory())
 }
 
 // newServiceShardStack is newShardStack generalized over the hosted
 // functionality — the escrow tests deploy the bank instead of the kvs.
-func newServiceShardStack(t *testing.T, store stablestore.Store, shards int, clientIDs []uint32, groupCommit bool, svcName string, factory service.Factory) *shardStack {
+func newServiceShardStack(t *testing.T, store stablestore.Store, shards int, clientIDs []uint32, svcName string, factory service.Factory) *shardStack {
 	t.Helper()
 	attestation := tee.NewAttestationService()
 	platform, err := tee.NewPlatform("plat-shard")
@@ -51,10 +51,9 @@ func newServiceShardStack(t *testing.T, store stablestore.Store, shards int, cli
 			NewService:  factory,
 			Attestation: attestation,
 		}),
-		Store:       store,
-		Shards:      shards,
-		BatchSize:   4,
-		GroupCommit: groupCommit,
+		Store:     store,
+		Shards:    shards,
+		BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +112,7 @@ func keyOnShard(shard, shards int, tag string) string {
 func TestShardedEndToEndAggregatedStatus(t *testing.T) {
 	const shards, clients, opsPerShard = 4, 3, 6
 	ids := []uint32{1, 2, 3}
-	st := newShardStack(t, stablestore.NewMemStore(), shards, ids, true)
+	st := newShardStack(t, stablestore.NewMemStore(), shards, ids)
 
 	var wg sync.WaitGroup
 	for _, id := range ids {
@@ -158,9 +157,6 @@ func TestShardedEndToEndAggregatedStatus(t *testing.T) {
 		if sh.Instances != 1 {
 			t.Fatalf("shard %d instances = %d, want 1", sh.Shard, sh.Instances)
 		}
-		if !sh.Status.DeltaActive {
-			t.Fatalf("shard %d lost delta persistence", sh.Shard)
-		}
 		if sh.Groups == 0 || sh.Records == 0 {
 			t.Fatalf("shard %d shows no group-commit activity: %+v", sh.Shard, sh)
 		}
@@ -181,7 +177,7 @@ func TestShardedEndToEndAggregatedStatus(t *testing.T) {
 // Operations that cannot be pinned to one shard are rejected at the
 // client, not guessed at.
 func TestShardedSessionRejectsUnshardableOps(t *testing.T) {
-	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1}, false)
+	st := newShardStack(t, stablestore.NewMemStore(), 2, []uint32{1})
 	sess := st.session(1)
 	if _, err := sess.Do(kvs.Scan("prefix", 10)); err == nil {
 		t.Fatal("scan accepted by a sharded session")
@@ -199,7 +195,7 @@ func TestShardForkLocalisedToAttackedShard(t *testing.T) {
 	const shards = 4
 	const victim = 2 // the shard the host forks
 	ids := []uint32{1, 2, 3}
-	st := newShardStack(t, stablestore.NewMemStore(), shards, ids, false)
+	st := newShardStack(t, stablestore.NewMemStore(), shards, ids)
 
 	logs := make([]*consistency.Log, shards)
 	for i := range logs {
@@ -319,7 +315,7 @@ func TestShardRollbackLocalised(t *testing.T) {
 	const shards = 3
 	const victim = 1
 	store := stablestore.NewRollbackStore(stablestore.NewMemStore())
-	st := newShardStack(t, store, shards, []uint32{1}, false)
+	st := newShardStack(t, store, shards, []uint32{1})
 	sess := st.session(1)
 
 	keys := make([]string, shards)

@@ -45,7 +45,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"negative read workers", func(c *Config) { c.ReadWorkers = -1 }, "ReadWorkers must be"},
 		{"read workers without snapshot reads", func(c *Config) { c.ReadWorkers = 4 }, "without SnapshotReads"},
 		{"negative latency target", func(c *Config) { c.CommitLatencyTarget = -time.Millisecond }, "CommitLatencyTarget must be"},
-		{"latency target without group commit", func(c *Config) { c.CommitLatencyTarget = time.Millisecond }, "without GroupCommit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,7 +64,6 @@ func TestConfigValidateRejects(t *testing.T) {
 func TestConfigValidateDefaults(t *testing.T) {
 	cfg := validConfig(t)
 	cfg.Replicas = 4
-	cfg.GroupCommit = true
 	cfg.SnapshotReads = true
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)

@@ -55,10 +55,10 @@ const (
 	deltaDel
 )
 
-// Store is the key-value service. It implements service.Service and
-// service.DeltaService: every Put/Del marks its key dirty, and Delta
-// serializes just the dirty entries — so the enclave's per-batch sealed
-// record grows with the batch, not with the store.
+// Store is the key-value service. It implements service.Service: every
+// Put/Del marks its key dirty, and Delta serializes just the dirty
+// entries — so the enclave's per-batch sealed record grows with the
+// batch, not with the store.
 type Store struct {
 	data      map[string]string
 	dirty     map[string]struct{}
@@ -76,7 +76,6 @@ type Store struct {
 
 var (
 	_ service.Service        = (*Store)(nil)
-	_ service.DeltaService   = (*Store)(nil)
 	_ service.Sharder        = (*Store)(nil)
 	_ service.Scanner        = (*Store)(nil)
 	_ service.Resharder      = (*Store)(nil)
@@ -301,7 +300,7 @@ func (s *Store) Snapshot() ([]byte, error) {
 		w.Var([]byte(s.data[k]))
 	}
 	// A snapshot captures every pending change, so the dirty set restarts
-	// empty (the DeltaService contract).
+	// empty (the service.Service contract).
 	clear(s.dirty)
 	return w.Bytes(), nil
 }
@@ -330,7 +329,7 @@ func (s *Store) Restore(snapshot []byte) error {
 	return nil
 }
 
-// Delta implements service.DeltaService: it serializes the entries touched
+// Delta implements service.Service: it serializes the entries touched
 // since the last Delta or Snapshot (sorted, so identical change sets encode
 // identically) and resets the dirty set. A key that was written and then
 // deleted within the window encodes as a delete.
@@ -356,7 +355,7 @@ func (s *Store) Delta() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// ApplyDelta implements service.DeltaService. Changes record pre-images
+// ApplyDelta implements service.Service. Changes record pre-images
 // like Apply's: a healed chain suffix is a mutation like any other from
 // the snapshot overlay's point of view.
 func (s *Store) ApplyDelta(delta []byte) error {

@@ -18,6 +18,14 @@ import (
 // deterministic (LCM, unlike trusted-counter schemes with replay-based
 // recovery, does not require it; see Sec. 3.1) and need not be safe for
 // concurrent use: the enclave executes operations sequentially.
+//
+// Besides the full snapshot the paper's prototype seals (Sec. 5.2), a
+// service serializes incremental state changes: the trusted context
+// persists every batch as a sealed delta record — O(batch) instead of
+// O(state) — and re-seals a snapshot only at compaction points (see
+// internal/core/state.go). Deltas carry state changes, not operations, so
+// LCM's no-determinism-required property (Sec. 3.1) is preserved:
+// replaying a delta never re-executes application code.
 type Service interface {
 	// Apply executes one operation (execF). The returned result is
 	// delivered to the invoking client verbatim. An error reports a
@@ -25,35 +33,13 @@ type Service interface {
 	// application-level "not found", which services encode in the result.
 	Apply(op []byte) ([]byte, error)
 
-	// Snapshot serializes the full service state.
+	// Snapshot serializes the full service state. It subsumes every
+	// pending change, so it also resets the change tracking Delta reads.
 	Snapshot() ([]byte, error)
 
 	// Restore replaces the service state from a snapshot produced by
 	// Snapshot.
 	Restore(snapshot []byte) error
-
-	// Footprint estimates the resident memory of the service state in
-	// bytes, used for EPC accounting (Sec. 6.2).
-	Footprint() int64
-}
-
-// DeltaService is an optional extension for services that can serialize
-// incremental state changes. The trusted context uses it to seal only what
-// changed in a batch (a delta record) instead of re-sealing the full state,
-// turning the per-batch persistence cost from O(state) into O(batch).
-// Both bundled services implement it (internal/kvs and internal/counter).
-//
-// Deltas carry state changes, not operations, so LCM's
-// no-determinism-required property (Sec. 3.1) is preserved: replaying a
-// delta never re-executes application code.
-//
-// Downstream, delta support is what the rest of the persistence pipeline
-// keys on: the host group-commits delta records under shared fsyncs, the
-// enclave sizes compaction from the observed snapshot/delta ratio, and
-// migration exports carry the delta chain instead of a snapshot (see
-// internal/core/state.go for the full protocol).
-type DeltaService interface {
-	Service
 
 	// Delta serializes every state change since the last call to Delta or
 	// Snapshot (whichever was later) and resets the change tracking. A
@@ -64,6 +50,10 @@ type DeltaService interface {
 	// Applying, in order, every delta taken since a snapshot onto that
 	// snapshot must yield a state identical to the live one.
 	ApplyDelta(delta []byte) error
+
+	// Footprint estimates the resident memory of the service state in
+	// bytes, used for EPC accounting (Sec. 6.2).
+	Footprint() int64
 }
 
 // Sharder is an optional extension for services whose operations address

@@ -222,6 +222,22 @@ func (r *Reader) U32() uint32 {
 	return binary.BigEndian.Uint32(b)
 }
 
+// Count reads a U32 element count and bounds it by the unread bytes: a
+// message whose elements each encode to at least minSize bytes cannot
+// hold more than Remaining()/minSize of them, so a larger count is a
+// malformed prefix (ErrTruncated), never a size to allocate for.
+func (r *Reader) Count(minSize int) int {
+	n := r.U32()
+	if r.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(minSize) > uint64(r.Remaining()) {
+		r.err = ErrTruncated
+		return 0
+	}
+	return int(n)
+}
+
 // U64 reads a big-endian uint64.
 func (r *Reader) U64() uint64 {
 	b := r.take(8)

@@ -246,3 +246,27 @@ func TestLogFramesRoundTrip(t *testing.T) {
 		t.Fatalf("empty stream = %d records", len(got))
 	}
 }
+
+func TestReaderCountBoundsByRemaining(t *testing.T) {
+	w := NewWriter(16)
+	w.U32(2)
+	w.U32(7)
+	w.U32(8)
+	r := NewReader(w.Bytes())
+	if n := r.Count(4); n != 2 || r.Err() != nil {
+		t.Fatalf("Count = %d, %v; want 2, nil", n, r.Err())
+	}
+
+	w = NewWriter(8)
+	w.U32(3) // three 4-byte elements claimed, two present
+	w.U32(0)
+	r = NewReader(w.Bytes())
+	if n := r.Count(4); n != 0 || r.Err() != ErrTruncated {
+		t.Fatalf("Count = %d, %v; want 0, ErrTruncated", n, r.Err())
+	}
+
+	r = NewReader([]byte{0xff, 0xff, 0xff, 0xff})
+	if n := r.Count(1); n != 0 || r.Err() != ErrTruncated {
+		t.Fatalf("Count over an empty tail = %d, %v; want 0, ErrTruncated", n, r.Err())
+	}
+}
